@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -54,16 +53,6 @@ from .sampling import (
 )
 
 
-def worker_cap() -> int:
-    """Maximum worker count honored by sweep orchestration (currently all
-    sweeps run on a single worker, which trivially respects any cap >= 1)."""
-    raw = os.environ.get("REQU_GAP_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
 class ConfigError(ValueError):
     pass
 
@@ -103,22 +92,18 @@ def _policy_from(cfg) -> GrowthPolicy:
 _POLICY_DEFAULTS = {"theta_c": 0.0, "kappa_c": 0.0, "scale": 1.0, "depth_cap": 5}
 
 
-def _emit(args, payload: dict, csv_text: str | None = None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=str)
-    fmt = getattr(args, "format", None) or "json"
-    if args.out:
-        out = Path(args.out)
-        if csv_text is not None and fmt == "csv":
-            out.write_text(csv_text)
-            out.with_suffix(out.suffix + ".json").write_text(text + "\n")
-        else:
-            out.write_text(text + "\n")
-            if csv_text is not None:
-                out.with_suffix(out.suffix + ".csv").write_text(csv_text)
-    else:
-        sys.stdout.write(text + "\n")
-        if csv_text is not None and fmt == "csv":
-            sys.stdout.write(csv_text)
+def _write(args, doc: dict, artifact: bytes | None = None, sidecar: str = ".json") -> None:
+    """Write doc as JSON to --out, or to stdout without --out.  With an
+    artifact, --out receives the artifact and doc goes to --out + sidecar."""
+    text = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    out = Path(args.out)
+    if artifact is not None:
+        out.write_bytes(artifact)
+        out = Path(f"{out}{sidecar}")
+    out.write_text(text)
 
 
 def _hat_params(cfg) -> HatBuildParams:
@@ -152,40 +137,24 @@ _HAT_DEFAULTS = {
 
 def cmd_build_hat(args) -> int:
     cfg = _merge_config(args, _HAT_DEFAULTS)
-    try:
-        params = _hat_params(cfg)
-        hat = build_hat(params)
-        net = hat.network
-    except ValueError as exc:
-        print(f"build-hat: {exc}", file=sys.stderr)
-        return 2
+    params = _hat_params(cfg)
+    net = build_hat(params).network
     report = verify_hat(params, num_points=int(cfg["points"]), seed=args.seed or 0)
     report["config"] = cfg
-    report["worker_cap"] = worker_cap()
-    if args.out:
-        Path(args.out).write_bytes(serialize(net))
-        Path(str(args.out) + ".verify.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
-    else:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write(args, report, serialize(net) if args.out else None, sidecar=".verify.json")
     return 0 if report["pass"] else 1
 
 
 def cmd_verify_hat(args) -> int:
     cfg = _merge_config(args, {**_HAT_DEFAULTS, "network": None})
-    try:
-        params = _hat_params(cfg)
-        report = verify_hat(params, num_points=int(cfg["points"]), seed=args.seed or 0)
-        if cfg["network"]:
-            stored = deserialize(Path(cfg["network"]).read_bytes())
-            rebuilt = build_hat(params).network
-            report["file_matches"] = serialize(stored) == serialize(rebuilt)
-    except ValueError as exc:
-        print(f"verify-hat: {exc}", file=sys.stderr)
-        return 2
+    params = _hat_params(cfg)
+    report = verify_hat(params, num_points=int(cfg["points"]), seed=args.seed or 0)
+    if cfg["network"]:
+        stored = deserialize(Path(cfg["network"]).read_bytes())
+        rebuilt = build_hat(params).network
+        report["file_matches"] = serialize(stored) == serialize(rebuilt)
     report["config"] = {k: v for k, v in cfg.items() if k != "network"}
-    _emit(args, report)
+    _write(args, report)
     return 0 if report["pass"] and report.get("file_matches", True) else 1
 
 
@@ -194,25 +163,21 @@ _RATES_DEFAULTS = {"alpha": 1.0, "d": 1, "n_max": 0, **_POLICY_DEFAULTS}
 
 def cmd_rates(args) -> int:
     cfg = _merge_config(args, _RATES_DEFAULTS)
-    try:
-        policy = _policy_from(cfg)
-        window = rate_window(float(cfg["alpha"]), int(cfg["d"]), policy)
-        payload = {
-            "config": cfg,
-            "gamma_flat": window.gamma_flat,
-            "gamma_sharp": window.gamma_sharp,
-            "lower_rate": window.lower_rate,
-            "upper_rate": window.upper_rate,
-            "degenerate": window.degenerate,
-            "method": "closed-form",
-        }
-        if int(cfg["n_max"]) >= 100:
-            est = gamma_numeric(policy, int(cfg["n_max"]))
-            payload["gamma_numeric"] = est[0]
-    except ValueError as exc:
-        print(f"rates: {exc}", file=sys.stderr)
-        return 2
-    _emit(args, payload)
+    policy = _policy_from(cfg)
+    window = rate_window(float(cfg["alpha"]), int(cfg["d"]), policy)
+    payload = {
+        "config": cfg,
+        "gamma_flat": window.gamma_flat,
+        "gamma_sharp": window.gamma_sharp,
+        "lower_rate": window.lower_rate,
+        "upper_rate": window.upper_rate,
+        "degenerate": window.degenerate,
+        "method": "closed-form",
+    }
+    if int(cfg["n_max"]) >= 100:
+        est = gamma_numeric(policy, int(cfg["n_max"]))
+        payload["gamma_numeric"] = est[0]
+    _write(args, payload)
     return 0 if not payload["degenerate"] else 1
 
 
@@ -226,40 +191,36 @@ _LIP_DEFAULTS = {
 
 def cmd_lipschitz(args) -> int:
     cfg = _merge_config(args, _LIP_DEFAULTS)
-    try:
-        params = _hat_params(cfg)
-        hat = build_hat(params)
-        inp = LipschitzBoundInput(
-            L=params.L,
-            C=params.C,
-            n=hat.weight_budget(),
-            R=float(cfg["R"]),
-            d=params.spec.d,
-            norm=cfg["norm"],
-        )
-        bound = lipschitz_bound(inp)
-        norm = "linf" if cfg["norm"].endswith("linf") else "l1"
-        emp = empirical_lipschitz(
-            hat.realize,
-            (np.zeros(params.spec.d), np.ones(params.spec.d)),
-            samples=int(cfg["samples"]),
-            norm=norm,
-            seed=args.seed or 0,
-        )
-        ratio_log2 = (math.log2(emp) - bound.log2) if emp > 0 else -math.inf
-        payload = {
-            "config": cfg,
-            "bound_log2": bound.log2,
-            "bound": bound.value,
-            "overflow": bound.overflow,
-            "empirical": emp,
-            "ratio_log2": ratio_log2,
-            "pass": bool(emp <= bound.value or math.log2(max(emp, 1e-300)) <= bound.log2),
-        }
-    except ValueError as exc:
-        print(f"lipschitz: {exc}", file=sys.stderr)
-        return 2
-    _emit(args, payload)
+    params = _hat_params(cfg)
+    hat = build_hat(params)
+    inp = LipschitzBoundInput(
+        L=params.L,
+        C=params.C,
+        n=hat.weight_budget(),
+        R=float(cfg["R"]),
+        d=params.spec.d,
+        norm=cfg["norm"],
+    )
+    bound = lipschitz_bound(inp)
+    norm = "linf" if cfg["norm"].endswith("linf") else "l1"
+    emp = empirical_lipschitz(
+        hat.realize,
+        (np.zeros(params.spec.d), np.ones(params.spec.d)),
+        samples=int(cfg["samples"]),
+        norm=norm,
+        seed=args.seed or 0,
+    )
+    ratio_log2 = (math.log2(emp) - bound.log2) if emp > 0 else -math.inf
+    payload = {
+        "config": cfg,
+        "bound_log2": bound.log2,
+        "bound": bound.value,
+        "overflow": bound.overflow,
+        "empirical": emp,
+        "ratio_log2": ratio_log2,
+        "pass": bool(emp <= bound.value or math.log2(max(emp, 1e-300)) <= bound.log2),
+    }
+    _write(args, payload)
     return 0 if payload["pass"] else 1
 
 
@@ -290,105 +251,63 @@ def _resolve_gamma(cfg, policy) -> float:
     return flat - 0.5
 
 
-def cmd_hardness(args) -> int:
+def _sweep_command(args, defaults: dict, m_list: list[int], run) -> int:
+    """The steps shared by the sweep commands.  ``run(cfg, **sweep)`` runs
+    the sweep given the keyword arguments all sweep runners take."""
     if not args.out:
-        print("hardness: --out is required", file=sys.stderr)
-        return 2
-    cfg = _merge_config(args, _SWEEP_DEFAULTS)
-    m_list = args.m_list or [4, 16, 64, 256]
-    seed = args.seed or 0
-    try:
-        policy = _policy_from(cfg)
-        gamma = _resolve_gamma(cfg, policy)
+        raise ConfigError("--out is required")
+    cfg = _merge_config(args, defaults)
+    policy = _policy_from(cfg)
+    gamma = _resolve_gamma(cfg, policy)
+    report = run(
+        cfg,
+        m_list=args.m_list or m_list,
+        d=int(cfg["d"]),
+        alpha=float(cfg["alpha"]),
+        gamma=gamma,
+        policy=policy,
+        grid_resolution=9 if args.grid_res is None else args.grid_res,
+        seed=args.seed or 0,
+    )
+    envelope = json.loads(report.to_json())
+    envelope["config"] = {**cfg, "gamma": gamma, "m_list": list(args.m_list or [])}
+    csv = report.to_csv().encode() if (args.format or "csv") == "csv" else None
+    _write(args, envelope, csv)
+    return 0 if report.passed else 1
+
+
+def cmd_hardness(args) -> int:
+    def run(cfg, **sweep):
         if cfg["algorithm"] not in _ALGORITHMS:
             raise ConfigError(f"unknown algorithm {cfg['algorithm']!r}")
-        factory = lambda m: _ALGORITHMS[cfg["algorithm"]](m, int(cfg["d"]), seed)
-        report = run_hardness_sweep(
-            factory,
-            m_list,
-            int(cfg["d"]),
-            float(cfg["alpha"]),
-            gamma,
-            policy,
-            grid_resolution=args.grid_res or 9,
+        make = _ALGORITHMS[cfg["algorithm"]]
+        return run_hardness_sweep(
+            lambda m: make(m, sweep["d"], sweep["seed"]),
             kappa1_override=cfg["kappa1"],
-            seed=seed,
+            **sweep,
         )
-    except (ConfigError, ValueError) as exc:
-        print(f"hardness: {exc}", file=sys.stderr)
-        return 2
-    _write_report(args, report, cfg, gamma)
-    return 0 if report.passed else 1
+
+    return _sweep_command(args, _SWEEP_DEFAULTS, [4, 16, 64, 256], run)
 
 
 def cmd_mc_hardness(args) -> int:
-    if not args.out:
-        print("mc-hardness: --out is required", file=sys.stderr)
-        return 2
-    cfg = _merge_config(args, _SWEEP_DEFAULTS)
-    m_list = args.m_list or [4, 16, 64]
-    seed = args.seed or 0
-    try:
-        policy = _policy_from(cfg)
-        gamma = _resolve_gamma(cfg, policy)
-        report = run_mc_sweep(
-            lambda m: uniform_mc(m, int(cfg["d"])),
-            m_list,
-            int(cfg["d"]),
-            float(cfg["alpha"]),
-            gamma,
-            policy,
+    def run(cfg, **sweep):
+        return run_mc_sweep(
+            lambda m: uniform_mc(m, sweep["d"]),
             draws=int(cfg["draws"]),
-            grid_resolution=args.grid_res or 9,
             kappa1_override=cfg["kappa1"],
-            seed=seed,
+            **sweep,
         )
-    except (ConfigError, ValueError) as exc:
-        print(f"mc-hardness: {exc}", file=sys.stderr)
-        return 2
-    _write_report(args, report, cfg, gamma)
-    return 0 if report.passed else 1
+
+    return _sweep_command(args, _SWEEP_DEFAULTS, [4, 16, 64], run)
 
 
 def cmd_upper_bound(args) -> int:
-    if not args.out:
-        print("upper-bound: --out is required", file=sys.stderr)
-        return 2
-    cfg = _merge_config(args, {**_SWEEP_DEFAULTS, "reconstruction": "nearest"})
-    m_list = args.m_list or [16, 64, 256, 1024, 4096]
-    try:
-        policy = _policy_from(cfg)
-        gamma = _resolve_gamma(cfg, policy)
-        report = run_upper_bound_sweep(
-            m_list,
-            int(cfg["d"]),
-            float(cfg["alpha"]),
-            gamma,
-            policy,
-            reconstruction=cfg["reconstruction"],
-            grid_resolution=args.grid_res or 9,
-            seed=args.seed or 0,
-        )
-    except (ConfigError, ValueError) as exc:
-        print(f"upper-bound: {exc}", file=sys.stderr)
-        return 2
-    _write_report(args, report, cfg, gamma)
-    return 0 if report.passed else 1
+    def run(cfg, **sweep):
+        return run_upper_bound_sweep(reconstruction=cfg["reconstruction"], **sweep)
 
-
-def _write_report(args, report, cfg, gamma) -> None:
-    envelope = json.loads(report.to_json())
-    envelope["config"] = {**cfg, "gamma": gamma, "m_list": list(args.m_list or [])}
-    envelope["worker_cap"] = worker_cap()
-    out = Path(args.out)
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        out.write_text(report.to_csv())
-        out.with_suffix(out.suffix + ".json").write_text(
-            json.dumps(envelope, indent=2, sort_keys=True) + "\n"
-        )
-    else:
-        out.write_text(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+    defaults = {**_SWEEP_DEFAULTS, "reconstruction": "nearest"}
+    return _sweep_command(args, defaults, [16, 64, 256, 1024, 4096], run)
 
 
 _SUM_DEFAULTS = {
@@ -403,14 +322,10 @@ _SUM_DEFAULTS = {
 
 def cmd_sum_check(args) -> int:
     cfg = _merge_config(args, _SUM_DEFAULTS)
-    try:
-        net1 = lambda_network(float(cfg["M1"]), float(cfg["y1"]))
-        net2 = lambda_network(float(cfg["M2"]), float(cfg["y2"]))
-        extended = depth_extend(net1, int(cfg["target_depth"]))
-        summed = sum_networks(extended, net2)
-    except ValueError as exc:
-        print(f"sum-check: {exc}", file=sys.stderr)
-        return 2
+    net1 = lambda_network(float(cfg["M1"]), float(cfg["y1"]))
+    net2 = lambda_network(float(cfg["M2"]), float(cfg["y2"]))
+    extended = depth_extend(net1, int(cfg["target_depth"]))
+    summed = sum_networks(extended, net2)
     rng = np.random.default_rng(args.seed or 0)
     x = rng.uniform(-1.0, 2.0, size=(int(cfg["points"]), 1))
     target = realize(net1, x) + realize(net2, x)
@@ -430,7 +345,7 @@ def cmd_sum_check(args) -> int:
             and summed.weight_count() <= w_bound
         ),
     }
-    _emit(args, payload)
+    _write(args, payload)
     return 0 if payload["pass"] else 1
 
 
@@ -498,7 +413,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ValueError, OSError) as exc:
+        # invalid input (ConfigError is a ValueError) or an unreadable file
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

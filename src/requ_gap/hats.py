@@ -33,6 +33,7 @@ from .network import (
     SparseVector,
     check_membership,
 )
+from .rates import _growth_scan
 
 # minimum of the bump on the inner plateau cube y + [-1/(2dM), 1/(2dM)]^d
 THETA_PLATEAU = (2.0 / 81.0) * (9.0 - 4.0 * math.sqrt(3.0)) ** 2
@@ -56,6 +57,8 @@ class BumpSpec:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension d must be >= 1")
+        if not math.isfinite(self.M):
+            raise ValueError("width parameter M must be finite")
         if self.M <= 0:
             raise ValueError("width parameter M must be > 0")
         if self.p < 1:
@@ -63,6 +66,8 @@ class BumpSpec:
         y = tuple(float(v) for v in np.atleast_1d(np.asarray(self.y, dtype=np.float64)))
         if len(y) != self.d:
             raise ValueError(f"center has {len(y)} components, expected d={self.d}")
+        if not all(map(math.isfinite, y)):
+            raise ValueError("center y must be finite")
         object.__setattr__(self, "y", y)
 
     @property
@@ -460,35 +465,6 @@ class ScaledBump:
         return self.amplitude * vartheta(self.spec, x)
 
 
-def _c1_scan(policy: GrowthPolicy, L: int, gamma: float, n_scan: int = 1_000_000):
-    """sup_n of n**gamma / (c(n)**(2**L-1) n**((2**L-1)/2)), in log space."""
-    small = np.arange(1, min(n_scan, 4096) + 1, dtype=np.float64)
-    grid = np.unique(
-        np.concatenate(
-            [small, np.geomspace(4096, max(n_scan, 4096), 600).round()]
-        )
-    )
-    grid = grid[grid <= n_scan]
-    e = 2.0**L - 1.0
-    log_ratio = gamma * np.log2(grid) - e * np.log2(policy.c(grid)) - (e / 2.0) * np.log2(grid)
-    best = int(np.argmax(log_ratio))
-    # tail check: the ratio must be non-increasing toward the end of the scan
-    # (for parametric policies this is implied by gamma < (2**L-1)(theta+1/2))
-    if policy.kind == "parametric":
-        if gamma >= e * (policy.theta_c + 0.5):
-            raise ValueError(
-                "gamma too large for the chosen depth: the scanned supremum "
-                "does not stabilize"
-            )
-    elif best >= grid.size - 2:
-        warnings.warn(
-            "supremum attained at the scan boundary for a tabulated policy; "
-            "increase n_scan",
-            RuntimeWarning,
-        )
-    return float(log_ratio[best])
-
-
 def _pick_depth(policy: GrowthPolicy, gamma: float) -> int:
     """Smallest usable depth L in [5, ell*] making the C1 supremum finite."""
     if policy.kind == "parametric":
@@ -519,6 +495,8 @@ def scaled_unit_ball_bump(
 
     Returns (ScaledBump, UnitBallCertificate); the amplitude is
     kappa * M**(-64 alpha / (8 alpha + gamma))."""
+    if not (math.isfinite(alpha) and math.isfinite(gamma)):
+        raise ValueError("alpha and gamma must be finite")
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     if gamma <= 0:
@@ -533,7 +511,25 @@ def scaled_unit_ball_bump(
         n0 += 1
         if n0 > 10**7:
             raise ValueError("no budget reaches the required depth")
-    log2_c1 = _c1_scan(policy, L, gamma, n_scan=n_scan)
+    # log2 of C1 = sup_n n**gamma / (c(n)**(2**L-1) n**((2**L-1)/2))
+    log2_n, growth_c, growth_n = _growth_scan(policy, L, n_scan)
+    log_ratio = gamma * log2_n - growth_c - growth_n
+    best = int(np.argmax(log_ratio))
+    # tail check: the ratio must be non-increasing toward the end of the scan
+    # (for parametric policies this is implied by gamma < (2**L-1)(theta+1/2))
+    if policy.kind == "parametric":
+        if gamma >= (2.0**L - 1.0) * (policy.theta_c + 0.5):
+            raise ValueError(
+                "gamma too large for the chosen depth: the scanned supremum "
+                "does not stabilize"
+            )
+    elif best >= log2_n.size - 2:
+        warnings.warn(
+            "supremum attained at the scan boundary for a tabulated policy; "
+            "increase n_scan",
+            RuntimeWarning,
+        )
+    log2_c1 = float(log_ratio[best])
     c1 = float(np.exp2(log2_c1))
     kappa = min(((16 * d + 7 * L) * (2 * n0) ** 8) ** (-alpha), float(np.exp2(-log2_c1)))
     n = n0 * math.ceil(M ** (8.0 / (8.0 * alpha + gamma)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -306,6 +307,8 @@ class GrowthPolicy:
 
     def __post_init__(self):
         if self.kind == "parametric":
+            if not all(map(math.isfinite, (self.theta_c, self.kappa_c, self.scale))):
+                raise ValueError("theta_c, kappa_c and scale must be finite")
             if self.theta_c < 0:
                 raise ValueError("theta_c must be >= 0")
             if self.scale < 1:

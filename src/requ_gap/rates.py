@@ -117,6 +117,23 @@ def gamma_numeric(
     return (est, est)
 
 
+def _growth_scan(policy: GrowthPolicy, L: int, n_scan: int = 1_000_000):
+    """The n-grid of the log-space supremum scans over the growth term.
+
+    The grid is 1..4096 plus 600 rounded geometric points up to n_scan.
+    Returns log2 n and the two parts of the growth term
+    (2**L-1) log2 c(n) + (2**L-1)/2 log2 n on it; they are kept apart so
+    that each caller fixes its own floating-point operation order."""
+    small = np.arange(1, min(n_scan, 4096) + 1, dtype=np.float64)
+    tail = np.geomspace(4096, max(n_scan, 4096), 600).round()
+    grid = np.unique(np.concatenate([small, tail]))
+    grid = grid[grid <= n_scan]
+    e = 2.0**L - 1.0
+    log2_n = np.log2(grid)
+    log2_c = np.log2(np.asarray(policy.c(grid), dtype=np.float64))
+    return log2_n, e * log2_c, (e / 2.0) * log2_n
+
+
 def radius_recursion(R0: float, C: float, n: int, j: int) -> BoundValue:
     """Closed form (2 sqrt(n) C)**(2**j - 1) * R0**(2**(j-1)).
 
@@ -152,6 +169,8 @@ def lipschitz_bound(inp: LipschitzBoundInput) -> BoundValue:
 
 def rate_window(alpha: float, d: int, policy: GrowthPolicy) -> RateWindow:
     """lower = alpha/(d (alpha + gamma_sharp)), upper = 64 alpha/(d (8 alpha + gamma_flat))."""
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     if d < 1:

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .network import GrowthPolicy
-from .hats import BumpSpec, ScaledBump, UnitBallCertificate, scaled_unit_ball_bump, vartheta
-from .rates import gamma_closed_form
+from .hats import BumpSpec, UnitBallCertificate, scaled_unit_ball_bump, vartheta
+from .rates import _growth_scan
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,8 @@ def grid_algorithm(m: int, d: int, reconstruction: str = "nearest") -> SamplingA
     clamped at the upper boundary."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if reconstruction not in ("nearest", "multilinear"):
         raise ValueError(f"unknown reconstruction {reconstruction!r}")
     n_side = _int_root_floor(m, d)
@@ -153,6 +155,8 @@ def grid_algorithm(m: int, d: int, reconstruction: str = "nearest") -> SamplingA
 
 def uniform_random_algorithm(m: int, d: int, seed: int = 0, rng=None) -> SamplingAlgorithm:
     """m uniform random points with nearest-sample-point reconstruction."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if rng is None:
         rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, 1.0, size=(m, d))
@@ -254,6 +258,8 @@ def build_adversarial_family(
     """Construct the hardness family for sample budget m."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    if d < 1:
+        raise ValueError("d must be >= 1")
     per_axis = 2 * _int_root_ceil(m, d)
     M = 2 * per_axis
     axis_centers = (2.0 * np.arange(1, per_axis + 1) - 1.0) / M
@@ -403,19 +409,6 @@ def hardness_bound(m: int, d: int, alpha: float, gamma: float, kappa1: float) ->
     return kappa * float(m) ** (-64.0 * alpha / (d * (8.0 * alpha + gamma)))
 
 
-def _c0_scan(policy: GrowthPolicy, L: int, gamma: float, n_scan: int = 1_000_000) -> float:
-    """log2 of sup_n c(n)**(2**L-1) n**((2**L-1)/2) / n**gamma (gamma >= gamma_sharp)."""
-    small = np.arange(1, min(n_scan, 4096) + 1, dtype=np.float64)
-    tail = np.geomspace(4096, max(n_scan, 4096), 600).round()
-    grid = np.unique(np.concatenate([small, tail]))
-    grid = grid[grid <= n_scan]
-    e = 2.0**L - 1.0
-    log_expr = e * np.log2(np.asarray(policy.c(grid), dtype=np.float64)) + (
-        e / 2.0
-    ) * np.log2(grid)
-    return float(np.max(log_expr - gamma * np.log2(grid)))
-
-
 def reconstruction_error_bound(
     m: int, d: int, policy: GrowthPolicy, alpha: float, gamma: float
 ) -> float:
@@ -428,7 +421,8 @@ def reconstruction_error_bound(
     if L == math.inf:
         raise ValueError("policy must have a bounded depth allowance")
     L = int(L)
-    log2_c0 = _c0_scan(policy, L, gamma)
+    log2_n, growth_c, growth_n = _growth_scan(policy, L)
+    log2_c0 = float(np.max(growth_c + growth_n - gamma * log2_n))
     log2_c1 = (
         math.log2(d)
         + (2.0**L + L - 3.0)
@@ -469,12 +463,14 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        # a single usable m fits no exponent: NaN, written as null
+        slope = self.fitted_exponent
         doc = {
             "label": self.label,
             "params": self.params,
             "seed": self.seed,
             "rows": list(self.rows),
-            "fitted_exponent": self.fitted_exponent,
+            "fitted_exponent": None if math.isnan(slope) else slope,
             "pass": self.passed,
         }
         return json.dumps(doc, indent=2, sort_keys=True)
@@ -488,6 +484,52 @@ def _fit_exponent(m_values, errors) -> float:
         return math.nan
     slope, _ = np.polyfit(np.log(m_arr[ok]), np.log(e_arr[ok]), 1)
     return float(slope)
+
+
+def _sweep(m_list, row, params, seed, label=None, upper=False) -> ExperimentReport:
+    """The loop shared by the sweep runners.
+
+    ``row(m)`` measures one budget of the non-empty, strictly ascending
+    m_list and returns (name, row); the first name labels the report unless
+    ``label`` is given.  A hardness sweep passes when every row passes and
+    keeps its sample budget; an upper-bound sweep passes when the decay
+    exponent fitted to the measured errors is below the slope target."""
+    m_list = list(m_list)
+    if not m_list or any(b <= a for a, b in zip(m_list, m_list[1:])):
+        raise ValueError("m_list must be non-empty and strictly ascending")
+    names, rows = zip(*(row(m) for m in m_list))
+    slope = _fit_exponent(m_list, [r["measured_avg_error"] for r in rows])
+    d, alpha, gamma = params["d"], params["alpha"], params["gamma"]
+    if upper:
+        target = -alpha / (d * (gamma + alpha)) + 0.1
+        params = {**params, "slope_target": target}
+        ok = not math.isnan(slope) and slope <= target
+    else:
+        decay = -64.0 * alpha / (d * (8.0 * alpha + gamma))
+        params = {**params, "decay_exponent_theoretical": decay}
+        ok = all(r["pass"] and r.get("budget_ok", True) for r in rows)
+    return ExperimentReport(
+        label=label or names[0],
+        params=params,
+        seed=seed,
+        rows=rows,
+        fitted_exponent=slope,
+        passed=bool(ok),
+    )
+
+
+def _bound_check(family: AdversarialFamily, measured: float, unseen: int):
+    """The hardness bound at the family's m, the measured error at the
+    certified amplitude, and whether the measurement respects the bound."""
+    m = family.m
+    bound = hardness_bound(
+        m, family.d, family.alpha, family.gamma, family.kappa1_theoretical
+    )
+    # the error scales linearly in the amplitude; undo any override before
+    # comparing to the theoretical bound
+    measured_theoretical = measured * (family.amplitude_theoretical / family.amplitude)
+    ok = measured_theoretical >= bound * (1 - 1e-9) and unseen >= m
+    return bound, measured_theoretical, bool(ok)
 
 
 def run_hardness_sweep(
@@ -506,55 +548,34 @@ def run_hardness_sweep(
 
     The pass flag always compares against the theoretical bound (with the
     certified kappa1), even when an override rescales the reported curve."""
-    m_list = list(m_list)
-    if not m_list or any(b <= a for a, b in zip(m_list, m_list[1:])):
-        raise ValueError("m_list must be non-empty and strictly ascending")
-    rows = []
-    all_pass = True
-    measured_curve = []
-    for m in m_list:
+
+    def row(m):
         family = build_adversarial_family(
             m, d, alpha, gamma, policy, kappa1_override=kappa1_override
         )
         algorithm = algorithm_factory(m)
         result = average_error(family, algorithm, grid_resolution=grid_resolution)
         unseen = count_unseen(family, algorithm)
-        bound = hardness_bound(m, d, alpha, gamma, family.kappa1_theoretical)
-        # the error scales linearly in the amplitude; undo any override before
-        # comparing to the theoretical bound
-        ratio = family.amplitude_theoretical / family.amplitude
-        measured_theoretical = result.average * ratio
-        ok = measured_theoretical >= bound * (1 - 1e-9) and unseen >= m
-        all_pass &= ok
-        measured_curve.append(result.average)
-        rows.append(
-            {
-                "m": m,
-                "measured_avg_error": result.average,
-                "measured_theoretical": measured_theoretical,
-                "center_only": result.center_only,
-                "lower_bound": bound,
-                "unseen_count": unseen,
-                "amplitude": family.amplitude,
-                "pass": bool(ok),
-            }
-        )
-    report_label = label or f"hardness-{algorithm_factory(m_list[0]).label}"
-    return ExperimentReport(
-        label=report_label,
-        params={
-            "d": d,
-            "alpha": alpha,
-            "gamma": gamma,
-            "grid_resolution": grid_resolution,
-            "kappa1_override": kappa1_override,
-            "decay_exponent_theoretical": -64.0 * alpha / (d * (8.0 * alpha + gamma)),
-        },
-        seed=seed,
-        rows=tuple(rows),
-        fitted_exponent=_fit_exponent(m_list, measured_curve),
-        passed=bool(all_pass),
-    )
+        bound, measured_theoretical, ok = _bound_check(family, result.average, unseen)
+        return f"hardness-{algorithm.label}", {
+            "m": m,
+            "measured_avg_error": result.average,
+            "measured_theoretical": measured_theoretical,
+            "center_only": result.center_only,
+            "lower_bound": bound,
+            "unseen_count": unseen,
+            "amplitude": family.amplitude,
+            "pass": ok,
+        }
+
+    params = {
+        "d": d,
+        "alpha": alpha,
+        "gamma": gamma,
+        "grid_resolution": grid_resolution,
+        "kappa1_override": kappa1_override,
+    }
+    return _sweep(m_list, row, params, seed, label)
 
 
 def run_mc_sweep(
@@ -575,18 +596,11 @@ def run_mc_sweep(
     Each draw uses a stream derived from (seed, m, draw index), so results
     are reproducible regardless of evaluation order.  The realized sample
     counts are audited against the declared budget."""
-    m_list = list(m_list)
-    if not m_list or any(b <= a for a, b in zip(m_list, m_list[1:])):
-        raise ValueError("m_list must be non-empty and strictly ascending")
     if draws < 30:
         raise ValueError("draws must be >= 30")
-    rows = []
-    all_pass = True
-    measured_curve = []
-    mc_label = None
-    for m in m_list:
+
+    def row(m):
         mc = mc_factory(m)
-        mc_label = mc.label
         family = build_adversarial_family(
             m, d, alpha, gamma, policy, kappa1_override=kappa1_override
         )
@@ -602,40 +616,28 @@ def run_mc_sweep(
             sample_counts.append(algorithm.m)
         mean_error = float(np.mean(errors))
         mean_count = float(np.mean(sample_counts))
-        budget_ok = mean_count <= mc.budget + 1e-9
-        bound = hardness_bound(m, d, alpha, gamma, family.kappa1_theoretical)
-        ratio = family.amplitude_theoretical / family.amplitude
-        ok = mean_error * ratio >= bound * (1 - 1e-9) and min(unseen_counts) >= m
-        all_pass &= ok and budget_ok
-        measured_curve.append(mean_error)
-        rows.append(
-            {
-                "m": m,
-                "measured_avg_error": mean_error,
-                "lower_bound": bound,
-                "unseen_count": int(min(unseen_counts)),
-                "amplitude": family.amplitude,
-                "mean_sample_count": mean_count,
-                "budget_ok": bool(budget_ok),
-                "pass": bool(ok),
-            }
-        )
-    return ExperimentReport(
-        label=label or f"mc-hardness-{mc_label}",
-        params={
-            "d": d,
-            "alpha": alpha,
-            "gamma": gamma,
-            "draws": draws,
-            "grid_resolution": grid_resolution,
-            "kappa1_override": kappa1_override,
-            "decay_exponent_theoretical": -64.0 * alpha / (d * (8.0 * alpha + gamma)),
-        },
-        seed=seed,
-        rows=tuple(rows),
-        fitted_exponent=_fit_exponent(m_list, measured_curve),
-        passed=bool(all_pass),
-    )
+        unseen = int(min(unseen_counts))
+        bound, _, ok = _bound_check(family, mean_error, unseen)
+        return f"mc-hardness-{mc.label}", {
+            "m": m,
+            "measured_avg_error": mean_error,
+            "lower_bound": bound,
+            "unseen_count": unseen,
+            "amplitude": family.amplitude,
+            "mean_sample_count": mean_count,
+            "budget_ok": bool(mean_count <= mc.budget + 1e-9),
+            "pass": ok,
+        }
+
+    params = {
+        "d": d,
+        "alpha": alpha,
+        "gamma": gamma,
+        "draws": draws,
+        "grid_resolution": grid_resolution,
+        "kappa1_override": kappa1_override,
+    }
+    return _sweep(m_list, row, params, seed, label)
 
 
 def run_upper_bound_sweep(
@@ -650,58 +652,37 @@ def run_upper_bound_sweep(
 ) -> ExperimentReport:
     """Grid-algorithm error decay on unit-ball bump inputs.
 
-    For each budget m the input is a certified unit-ball bump whose width
-    matches the hardness construction at that budget; the measured sup error
-    must decay at least as fast as m**(-alpha/(d (gamma + alpha))) (fitted
-    slope comparison, constants not enforced)."""
-    m_list = list(m_list)
-    if not m_list or any(b <= a for a, b in zip(m_list, m_list[1:])):
-        raise ValueError("m_list must be non-empty and strictly ascending")
-    rows = []
-    measured_curve = []
-    for m in m_list:
-        per_axis = 2 * _int_root_ceil(m, d)
-        M = 2 * per_axis
-        # center the bump in an off-grid cell so that it is a nontrivial input
-        idx = per_axis // 2
-        center = np.full(d, (2.0 * idx + 1.0) / M)
-        bump, _ = scaled_unit_ball_bump(alpha, gamma, float(M), center, policy)
+    For each budget m the input is the certified unit-ball bump of the
+    hardness family at that budget whose cell is central on every axis; the
+    measured sup error must decay at least as fast as
+    m**(-alpha/(d (gamma + alpha))) (fitted slope comparison, constants not
+    enforced)."""
+
+    def row(m):
+        family = build_adversarial_family(m, d, alpha, gamma, policy)
+        # an off-grid cell, so that the bump is a nontrivial input
+        k = family.per_axis
+        i = int(np.ravel_multi_index((k // 2,) * d, (k,) * d))
+        bump = family.member(i, 1)
         algorithm = grid_algorithm(m, d, reconstruction)
-        values = bump(algorithm.points)
-        recon = algorithm.reconstruct(values)
-        h = 1.0 / M
-        axis = np.linspace(-h, h, grid_resolution + 2)[1:-1]
-        mesh = np.meshgrid(*([axis] * d), indexing="ij")
-        test = center + np.column_stack([g.ravel() for g in mesh])
-        test = np.vstack([center[None, :], test])
+        recon = algorithm.reconstruct(bump(algorithm.points))
+        test = family.centers[i] + _support_offsets(family, grid_resolution)
         err = float(np.max(np.abs(bump(test) - recon(test))))
         bound = reconstruction_error_bound(m, d, policy, alpha, gamma)
-        measured_curve.append(err)
-        rows.append(
-            {
-                "m": m,
-                "measured_avg_error": err,
-                "lower_bound": bound,
-                "unseen_count": None,
-                "amplitude": bump.amplitude,
-                "pass": bool(err <= bound),
-            }
-        )
-    slope = _fit_exponent(m_list, measured_curve)
-    target = -alpha / (d * (gamma + alpha)) + 0.1
-    passed = bool(not math.isnan(slope) and slope <= target)
-    return ExperimentReport(
-        label=f"upper-bound-{reconstruction}",
-        params={
-            "d": d,
-            "alpha": alpha,
-            "gamma": gamma,
-            "reconstruction": reconstruction,
-            "grid_resolution": grid_resolution,
-            "slope_target": target,
-        },
-        seed=seed,
-        rows=tuple(rows),
-        fitted_exponent=slope,
-        passed=passed,
-    )
+        return f"upper-bound-{reconstruction}", {
+            "m": m,
+            "measured_avg_error": err,
+            "lower_bound": bound,
+            "unseen_count": None,
+            "amplitude": family.amplitude,
+            "pass": bool(err <= bound),
+        }
+
+    params = {
+        "d": d,
+        "alpha": alpha,
+        "gamma": gamma,
+        "reconstruction": reconstruction,
+        "grid_resolution": grid_resolution,
+    }
+    return _sweep(m_list, row, params, seed, upper=True)

@@ -191,17 +191,50 @@ class TestSumCheck:
 
 
 class TestEnvironment:
-    def test_worker_cap_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REQU_GAP_THREADS", "4")
-        out = tmp_path / "s.csv"
-        assert run(["hardness", "--m-list", "4,16", "--out", str(out)]) == 0
-        sidecar = json.loads((tmp_path / "s.csv.json").read_text())
-        assert sidecar["worker_cap"] == 4
-
-    def test_results_identical_across_caps(self, tmp_path, monkeypatch):
+    def test_results_identical_across_caps(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("REQU_GAP_THREADS", "1")
         assert run(["hardness", "--m-list", "4,16", "--out", str(a)]) == 0
-        monkeypatch.setenv("REQU_GAP_THREADS", "8")
         assert run(["hardness", "--m-list", "4,16", "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
+
+
+class TestInvalidInput:
+    CASES = {
+        "hardness-grid-res-0": ["hardness", "--grid-res", "0"],
+        "upper-bound-grid-res-1": ["upper-bound", "--m-list", "16,64", "--grid-res", "1"],
+        "verify-hat-missing-network": ["verify-hat", "--network", "/nonexistent.json"],
+        "missing-config": ["rates", "--config", "/nonexistent.json"],
+        "build-hat-M-nan": ["build-hat", "--M", "nan"],
+        "build-hat-M-inf": ["build-hat", "--M", "inf"],
+        "build-hat-y-nan": ["build-hat", "--y", "nan"],
+        "rates-alpha-nan": ["rates", "--alpha", "nan"],
+        "rates-alpha-inf": ["rates", "--alpha", "inf"],
+        "rates-theta-c-nan": ["rates", "--theta-c", "nan"],
+        "hardness-alpha-nan": ["hardness", "--alpha", "nan"],
+        "hardness-gamma-inf": ["hardness", "--gamma", "inf"],
+        "hardness-d-0": ["hardness", "--d", "0"],
+        "mc-hardness-d-0": ["mc-hardness", "--d", "0"],
+        "upper-bound-d-0": ["upper-bound", "--d", "0"],
+    }
+
+    @pytest.mark.parametrize("argv", CASES.values(), ids=CASES.keys())
+    def test_exits_2_without_traceback_or_nan(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{argv[0]}: ")
+        written = [p.read_text() for p in tmp_path.iterdir()]
+        for text in [captured.out, captured.err, *written]:
+            for word in ("Traceback", "NaN", "Infinity"):
+                assert word not in text
+
+    def test_single_m_sidecar_is_strict_json(self, tmp_path):
+        out = tmp_path / "one.csv"
+        assert run(["hardness", "--m-list", "4", "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (tmp_path / "one.csv.json").read_text()
+        doc = json.loads(text, parse_constant=reject)
+        assert doc["fitted_exponent"] is None

@@ -1,15 +1,17 @@
 """Tests for growth-exponent, Lipschitz, and rate-window calculators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from requ_gap.hats import HatBuildParams, BumpSpec, build_hat
+from requ_gap.hats import HatBuildParams, BumpSpec, build_hat, scaled_unit_ball_bump
 from requ_gap.network import GrowthPolicy
 from requ_gap.rates import (
+    _growth_scan,
     BoundValue,
     LipschitzBoundInput,
     empirical_lipschitz,
@@ -19,6 +21,7 @@ from requ_gap.rates import (
     radius_recursion,
     rate_window,
 )
+from requ_gap.sampling import reconstruction_error_bound
 
 
 class TestGammaClosedForm:
@@ -75,6 +78,59 @@ class TestGammaNumeric:
     def test_rejects_small_n_max(self):
         with pytest.raises(ValueError):
             gamma_numeric(GrowthPolicy(kind="parametric", depth_cap=5), n_max=50)
+
+
+SCAN_CASES = {
+    "parametric": (
+        GrowthPolicy(kind="parametric", theta_c=0.5, kappa_c=0.5, scale=2.0, depth_cap=5),
+        20.0,
+    ),
+    # c doubles whenever n grows 16-fold: the C1 supremum sits at n=15 and
+    # the C0 supremum at n=65536, both inside the scan
+    "tabulated": (
+        GrowthPolicy(
+            kind="tabulated",
+            ell_table=((1, 5), (8, 6)),
+            c_table=((1, 1.0), (16, 2.0), (256, 4.0), (4096, 8.0), (65536, 16.0)),
+        ),
+        40.0,
+    ),
+}
+
+
+def _loop_scan(policy, L, gamma, n_scan=1_000_000):
+    """The n-grid and the C0/C1 log suprema by a plain loop over it."""
+    tail = np.geomspace(4096, n_scan, 600).round()
+    grid = sorted({*range(1, 4097), *(int(v) for v in tail)})
+    e = 2.0**L - 1.0
+    c0 = c1 = -math.inf
+    for n in grid:
+        growth = e * math.log2(policy.c(n)) + e / 2.0 * math.log2(n)
+        c0 = max(c0, growth - gamma * math.log2(n))
+        c1 = max(c1, gamma * math.log2(n) - growth)
+    return grid, c0, c1
+
+
+class TestGrowthScan:
+    @pytest.mark.parametrize("policy, gamma", SCAN_CASES.values(), ids=SCAN_CASES.keys())
+    def test_c0_and_c1_match_loop(self, policy, gamma):
+        L = int(policy.ell_star)
+        grid, c0, c1 = _loop_scan(policy, L, gamma)
+        log2_n, growth_c, growth_n = _growth_scan(policy, L)
+        assert log2_n.tolist() == pytest.approx([math.log2(n) for n in grid], rel=1e-12)
+        growth = [(2.0**L - 1.0) * (math.log2(policy.c(n)) + math.log2(n) / 2.0) for n in grid]
+        assert (growth_c + growth_n).tolist() == pytest.approx(growth, rel=1e-12)
+        # C0 through the upper bound at m=1, d=1:
+        # C2 = 6 + 2**(gamma + 2 + 2**L + L - 3) * C0
+        c2 = reconstruction_error_bound(1, 1, policy, 1.0, gamma)
+        log2_c0 = math.log2(c2 - 6.0) - (gamma + 2.0) - (2.0**L + L - 3.0)
+        assert log2_c0 == pytest.approx(c0, rel=1e-12)
+        # C1 through the unit-ball certificate, which must pick the same depth
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, cert = scaled_unit_ball_bump(1.0, gamma, 4.0, [0.5], policy)
+        assert cert.L == L
+        assert math.log2(cert.C1) == pytest.approx(c1, rel=1e-12)
 
 
 class TestRadiusRecursion:
