@@ -93,9 +93,11 @@ _POLICY_DEFAULTS = {"theta_c": 0.0, "kappa_c": 0.0, "scale": 1.0, "depth_cap": 5
 
 
 def _write(args, doc: dict, artifact: bytes | None = None, sidecar: str = ".json") -> None:
-    """Write doc as JSON to --out, or to stdout without --out.  With an
-    artifact, --out receives the artifact and doc goes to --out + sidecar."""
-    text = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+    """Write doc as strict JSON to --out, or to stdout without --out.  With
+    an artifact, --out receives the artifact and doc goes to --out + sidecar.
+    A NaN or infinite value in doc raises ValueError before anything is
+    written."""
+    text = json.dumps(doc, indent=2, sort_keys=True, default=str, allow_nan=False) + "\n"
     if not args.out:
         sys.stdout.write(text)
         return
@@ -104,6 +106,11 @@ def _write(args, doc: dict, artifact: bytes | None = None, sidecar: str = ".json
         out.write_bytes(artifact)
         out = Path(f"{out}{sidecar}")
     out.write_text(text)
+
+
+def _finite_or_none(x: float) -> float | None:
+    """x, or None (JSON null) when x is infinite or NaN."""
+    return x if math.isfinite(x) else None
 
 
 def _hat_params(cfg) -> HatBuildParams:
@@ -167,8 +174,9 @@ def cmd_rates(args) -> int:
     window = rate_window(float(cfg["alpha"]), int(cfg["d"]), policy)
     payload = {
         "config": cfg,
-        "gamma_flat": window.gamma_flat,
-        "gamma_sharp": window.gamma_sharp,
+        # an unbounded policy has infinite exponents (degenerate): null
+        "gamma_flat": _finite_or_none(window.gamma_flat),
+        "gamma_sharp": _finite_or_none(window.gamma_sharp),
         "lower_rate": window.lower_rate,
         "upper_rate": window.upper_rate,
         "degenerate": window.degenerate,
@@ -214,10 +222,12 @@ def cmd_lipschitz(args) -> int:
     payload = {
         "config": cfg,
         "bound_log2": bound.log2,
-        "bound": bound.value,
+        # null for an overflowing bound (see "overflow") and for the
+        # ratio of a zero empirical constant
+        "bound": _finite_or_none(bound.value),
         "overflow": bound.overflow,
         "empirical": emp,
-        "ratio_log2": ratio_log2,
+        "ratio_log2": _finite_or_none(ratio_log2),
         "pass": bool(emp <= bound.value or math.log2(max(emp, 1e-300)) <= bound.log2),
     }
     _write(args, payload)
@@ -391,9 +401,10 @@ def main(argv=None) -> int:
         p.add_argument("--config", default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--grid-res", type=int, default=None)
-        p.add_argument("--m-list", type=_parse_m_list, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        if name in ("hardness", "mc-hardness", "upper-bound"):
+            p.add_argument("--grid-res", type=int, default=None)
+            p.add_argument("--m-list", type=_parse_m_list, default=None)
+            p.add_argument("--format", choices=("csv", "json"), default=None)
         for key in ("theta_c", "kappa_c", "scale", "depth_cap"):
             if name != "sum-check":
                 p.add_argument(
@@ -410,7 +421,10 @@ def main(argv=None) -> int:
                 dest=key,
             )
         p.set_defaults(func=func)
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        print(f"{args.command}: unrecognized arguments: {' '.join(unknown)}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -158,6 +158,13 @@ class HatBuildParams:
     spec: BumpSpec
     policy: GrowthPolicy
 
+    def __post_init__(self):
+        if not math.isfinite(self.C):
+            raise ValueError("amplitude base C must be finite")
+        # the amplitude divides by M**8 and the layers by M**2 and M**4
+        if not self.spec.M < 2.0**128:
+            raise ValueError("width parameter M must be < 2**128 (M**8 finite)")
+
 
 def _validate_hat_params(p: HatBuildParams):
     if p.n < 1:

@@ -61,6 +61,8 @@ class LipschitzBoundInput:
     norm: str = "l1"
 
     def __post_init__(self):
+        if not (math.isfinite(self.C) and math.isfinite(self.R)):
+            raise ValueError("coefficient bound C and domain radius R must be finite")
         if self.L < 1:
             raise ValueError("depth L must be >= 1")
         if self.C < 1:

@@ -346,7 +346,11 @@ def average_error(
 
     The sup is estimated on a refined grid inside each member's support cube
     plus its center; restricting to the support underestimates the true sup
-    and keeps the hardness comparison one-sided."""
+    and keeps the hardness comparison one-sided.  On the stencil path a cell
+    that holds no sample reconstructs to exactly 0, so its error is
+    ``amplitude * |theta(offset)|`` in closed form; only the seen cells go
+    through the stencil, at most ``max(_CHUNK_POINTS, G)`` test points per
+    call, with G the number of test offsets per cell."""
     if algorithm.d != family.d:
         raise ValueError("algorithm and family dimensions differ")
     use_stencil = method == "stencil" or (
@@ -357,36 +361,55 @@ def average_error(
     if use_stencil:
         if algorithm.linear_stencil is None:
             raise ValueError("algorithm has no linear stencil")
-        errs = _average_error_stencil(family, algorithm, offsets, theta_off)
+        row_max, center = _average_error_stencil(family, algorithm, offsets, theta_off)
     else:
-        errs = _average_error_generic(family, algorithm, offsets, theta_off)
+        row_max, center = _average_error_generic(family, algorithm, offsets, theta_off)
     return AverageErrorResult(
-        average=float(errs.max(axis=1).mean()),
-        center_only=float(errs[:, 0].mean()),
-        per_member_max=float(errs.max()),
+        average=float(row_max.mean()),
+        center_only=float(center.mean()),
+        per_member_max=float(row_max.max()),
     )
+
+
+# test points per stencil call on the seen cells (whole cells per chunk)
+_CHUNK_POINTS = 1 << 16
 
 
 def _average_error_stencil(family, algorithm, offsets, theta_off):
     """Vectorized path for linear, value-scaling-equivariant reconstructions.
 
-    The nu = +-1 errors coincide because the reconstruction scales with the
-    data, so one pass over centers covers all members."""
+    Returns the per-center error maxima over the test offsets and the error
+    at each center.  The nu = +-1 errors coincide because the reconstruction
+    scales with the data, so one pass over centers covers all members.  The
+    stencil masks out samples outside the member's cell, so a cell without a
+    sample reconstructs to 0 and its row is ``amplitude * |theta_off|``; the
+    seen cells are evaluated in chunks of whole cells, at most
+    ``max(_CHUNK_POINTS, G)`` test points each, so memory is O(K + chunk)."""
     ci, tv = _locate_samples(family, algorithm.points)
     K, G = family.num_centers, len(offsets)
-    test = (family.centers[:, None, :] + offsets[None, :, :]).reshape(K * G, family.d)
-    idx, w = algorithm.linear_stencil(test)
-    member_of_row = np.repeat(np.arange(K), G)
-    mask = ci[idx] == member_of_row[:, None]
-    recon = (w * tv[idx] * mask).sum(axis=1)
-    err = family.amplitude * np.abs(np.tile(theta_off, K) - recon)
-    return err.reshape(K, G)
+    unseen_err = family.amplitude * np.abs(theta_off)
+    row_max = np.full(K, unseen_err.max())
+    center = np.full(K, unseen_err[0])
+    seen = np.unique(ci[ci >= 0])
+    step = max(1, _CHUNK_POINTS // G)
+    for start in range(0, len(seen), step):
+        cells = seen[start : start + step]
+        test = (family.centers[cells, None, :] + offsets[None, :, :]).reshape(-1, family.d)
+        idx, w = algorithm.linear_stencil(test)
+        mask = ci[idx] == np.repeat(cells, G)[:, None]
+        recon = (w * tv[idx] * mask).sum(axis=1)
+        err = family.amplitude * np.abs(np.tile(theta_off, len(cells)) - recon)
+        err = err.reshape(len(cells), G)
+        row_max[cells] = err.max(axis=1)
+        center[cells] = err[:, 0]
+    return row_max, center
 
 
 def _average_error_generic(family, algorithm, offsets, theta_off):
-    """Per-member path valid for arbitrary reconstruction maps."""
-    K, G = family.num_centers, len(offsets)
-    errs = np.empty((K, G))
+    """Per-member path valid for arbitrary reconstruction maps; returns the
+    same per-center maxima and center errors as the stencil path."""
+    K = family.num_centers
+    row_max, center = np.empty(K), np.empty(K)
     amp = family.amplitude
     for i in range(K):
         test = family.centers[i] + offsets
@@ -395,8 +418,9 @@ def _average_error_generic(family, algorithm, offsets, theta_off):
         values = amp * vartheta(spec, algorithm.points)
         e_plus = np.abs(f_test - algorithm.reconstruct(values)(test))
         e_minus = np.abs(-f_test - algorithm.reconstruct(-values)(test))
-        errs[i] = 0.5 * (e_plus + e_minus)
-    return errs
+        errs = 0.5 * (e_plus + e_minus)
+        row_max[i], center[i] = errs.max(), errs[0]
+    return row_max, center
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +440,8 @@ def reconstruction_error_bound(
 
     C2 = 6 + 2**(gamma+2) * C1 with C1 = d * 2**(2**L + L - 3) *
     d**((2**(L-1) - 1)/2) * C0, where C0 bounds the growth expression by
-    n**gamma.  Assembled in log2 space; may overflow to inf for deep policies."""
+    n**gamma.  Assembled in log2 space; raises ValueError when C2 exceeds
+    the float range, which deep policies reach."""
     L = policy.ell_star
     if L == math.inf:
         raise ValueError("policy must have a bounded depth allowance")
@@ -430,7 +455,11 @@ def reconstruction_error_bound(
         + log2_c0
     )
     log2_term = (gamma + 2.0) + log2_c1
-    c2 = 6.0 + (float(np.exp2(log2_term)) if log2_term < 1024 else math.inf)
+    if log2_term >= 1024:
+        raise ValueError(
+            f"reconstruction error constant 2**{log2_term:.6g} exceeds the float range"
+        )
+    c2 = 6.0 + float(np.exp2(log2_term))
     return c2 * float(m) ** (-alpha / (d * (gamma + alpha)))
 
 
@@ -473,7 +502,7 @@ class ExperimentReport:
             "fitted_exponent": None if math.isnan(slope) else slope,
             "pass": self.passed,
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _fit_exponent(m_values, errors) -> float:

@@ -80,6 +80,11 @@ class TestRates:
         assert code == 1
         assert json.loads(capsys.readouterr().out)["degenerate"]
 
+    def test_unbounded_policy_writes_null_exponents(self, capsys):
+        assert run(["rates", "--depth-cap", "inf"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["gamma_flat"] is None and doc["gamma_sharp"] is None
+
 
 class TestLipschitz:
     def test_bound_dominates_empirical(self, capsys):
@@ -215,6 +220,16 @@ class TestInvalidInput:
         "hardness-d-0": ["hardness", "--d", "0"],
         "mc-hardness-d-0": ["mc-hardness", "--d", "0"],
         "upper-bound-d-0": ["upper-bound", "--d", "0"],
+        "upper-bound-c2-overflow": ["upper-bound", "--m-list", "16,64", "--depth-cap", "10"],
+        "rates-sweep-flags": ["rates", "--format", "csv", "--m-list", "4", "--grid-res", "3"],
+        "lipschitz-M-1e300": ["lipschitz", "--M", "1e300"],
+        "build-hat-M-1e300": ["build-hat", "--M", "1e300", "--n", "1", "--L", "5"],
+        "lipschitz-output-overflow": [
+            "lipschitz", "--L", "10", "--depth-cap", "10", "--scale", "256"
+        ],
+        "verify-hat-output-overflow": [
+            "verify-hat", "--L", "10", "--depth-cap", "10", "--scale", "256"
+        ],
     }
 
     @pytest.mark.parametrize("argv", CASES.values(), ids=CASES.keys())

@@ -1,5 +1,6 @@
 """Tests for sampling algorithms, the adversarial family, and error sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from requ_gap import sampling
 from requ_gap.network import GrowthPolicy
 from requ_gap.sampling import (
     AdversarialFamily,
@@ -186,16 +188,54 @@ class TestAverageError:
         # nu = +1 and nu = -1 errors coincide, so the stencil shortcut and the
         # explicit per-member average must agree exactly
         fam = build_adversarial_family(16, 2, ALPHA, GAMMA, POLICY5)
-        for alg in (
-            grid_algorithm(16, 2),
-            grid_algorithm(16, 2, "multilinear"),
-            uniform_random_algorithm(16, 2, seed=4),
-            zero_algorithm(16, 2),
-        ):
+        cases = [
+            (fam, alg)
+            for alg in (
+                grid_algorithm(16, 2),
+                grid_algorithm(16, 2, "multilinear"),
+                uniform_random_algorithm(16, 2, seed=4),
+                zero_algorithm(16, 2),
+            )
+        ]
+        # a perfect power: every grid sample sits on a support boundary
+        fam27 = build_adversarial_family(27, 3, ALPHA, GAMMA, POLICY5)
+        grid27 = grid_algorithm(27, 3)
+        assert count_unseen(fam27, grid27) == fam27.num_centers
+        cases.append((fam27, grid27))
+        fam30 = build_adversarial_family(30, 3, ALPHA, GAMMA, POLICY5)
+        multilinear30 = grid_algorithm(30, 3, "multilinear")
+        assert count_unseen(fam30, multilinear30) < fam30.num_centers
+        cases.append((fam30, multilinear30))
+        # enough seen cells to fill more than one stencil chunk
+        fam200 = build_adversarial_family(200, 3, ALPHA, GAMMA, POLICY5)
+        random200 = uniform_random_algorithm(200, 3, seed=5)
+        seen = fam200.num_centers - count_unseen(fam200, random200)
+        assert seen > sampling._CHUNK_POINTS // 730  # 9**3 + 1 offsets per cell
+        cases.append((fam200, random200))
+        for fam, alg in cases:
             fast = average_error(fam, alg, method="stencil")
             slow = average_error(fam, alg, method="generic")
-            assert fast.average == pytest.approx(slow.average, rel=1e-12, abs=1e-300)
-            assert fast.center_only == pytest.approx(slow.center_only, rel=1e-12, abs=1e-300)
+            assert fast.average == slow.average
+            assert fast.center_only == slow.center_only
+            assert fast.per_member_max == slow.per_member_max
+
+    def test_stencil_queries_only_seen_cells(self):
+        fam = build_adversarial_family(200, 3, ALPHA, GAMMA, POLICY5)
+        alg = uniform_random_algorithm(200, 3, seed=5)
+        calls = []
+
+        def counting(x):
+            calls.append(len(x))
+            return alg.linear_stencil(x)
+
+        wrapped = dataclasses.replace(alg, linear_stencil=counting)
+        res = average_error(fam, wrapped, grid_resolution=9)
+        seen = fam.num_centers - count_unseen(fam, alg)
+        G = 9**3 + 1
+        assert sum(calls) == seen * G
+        assert len(calls) > 1
+        assert max(calls) <= max(sampling._CHUNK_POINTS, G)
+        assert res == average_error(fam, alg, grid_resolution=9)
 
     def test_dimension_mismatch(self):
         fam = build_adversarial_family(4, 2, ALPHA, GAMMA, POLICY5)
