@@ -29,6 +29,7 @@ from .network import (
     GrowthPolicy,
     deserialize,
     depth_extend,
+    identical,
     realize,
     serialize,
     sum_networks,
@@ -144,22 +145,20 @@ _HAT_DEFAULTS = {
 
 def cmd_build_hat(args) -> int:
     cfg = _merge_config(args, _HAT_DEFAULTS)
-    params = _hat_params(cfg)
-    net = build_hat(params).network
-    report = verify_hat(params, num_points=int(cfg["points"]), seed=args.seed or 0)
+    hat = build_hat(_hat_params(cfg))
+    report = verify_hat(hat, num_points=int(cfg["points"]), seed=args.seed or 0)
     report["config"] = cfg
-    _write(args, report, serialize(net) if args.out else None, sidecar=".verify.json")
+    _write(args, report, serialize(hat.network) if args.out else None, sidecar=".verify.json")
     return 0 if report["pass"] else 1
 
 
 def cmd_verify_hat(args) -> int:
     cfg = _merge_config(args, {**_HAT_DEFAULTS, "network": None})
-    params = _hat_params(cfg)
-    report = verify_hat(params, num_points=int(cfg["points"]), seed=args.seed or 0)
+    hat = build_hat(_hat_params(cfg))
+    report = verify_hat(hat, num_points=int(cfg["points"]), seed=args.seed or 0)
     if cfg["network"]:
         stored = deserialize(Path(cfg["network"]).read_bytes())
-        rebuilt = build_hat(params).network
-        report["file_matches"] = serialize(stored) == serialize(rebuilt)
+        report["file_matches"] = identical(stored, hat.network)
     report["config"] = {k: v for k, v in cfg.items() if k != "network"}
     _write(args, report)
     return 0 if report["pass"] and report.get("file_matches", True) else 1

@@ -356,13 +356,17 @@ class BuiltHat:
         return v[0] if x.ndim == 1 else v
 
     def realize(self, x):
-        """Accurate realization of the stored network (gain * bump channel)."""
+        """Accurate realization of the stored network (gain * bump channel).
+
+        Raises ValueError once the gain reaches about 2**1020, where the
+        output and the differences taken of it overflow double precision."""
         g = self.gain
-        gf = float(g) if g.numerator.bit_length() - g.denominator.bit_length() < 1020 else math.inf
-        if not math.isfinite(gf):
-            warnings.warn("gain overflows double precision; returning inf-scaled output",
-                          RuntimeWarning)
-        return self.bump_channel(x) * gf
+        if g.numerator.bit_length() - g.denominator.bit_length() >= 1020:
+            log2_gain = math.log2(g.numerator) - math.log2(g.denominator)
+            raise ValueError(
+                f"the network's gain 2**{log2_gain:.1f} is too large for double precision"
+            )
+        return self.bump_channel(x) * float(g)
 
     def closed_form(self, x):
         """amplitude * vartheta_{M,y}(x), the target of the construction."""
@@ -396,12 +400,14 @@ def choose_amplitude_base(policy: GrowthPolicy, n: int) -> float:
     return float(policy.c(n)) ** 0.125
 
 
-def verify_hat(params: HatBuildParams, num_points: int = 10_000, seed: int = 0) -> dict:
+def verify_hat(hat: BuiltHat, num_points: int = 10_000, seed: int = 0) -> dict:
     """Compare the built network against its closed form on random points.
 
     Relative error is measured against the amplitude (the closed form's sup),
-    since both functions vanish identically outside the support cube."""
-    hat = build_hat(params)
+    since both functions vanish identically outside the support cube.  The
+    budget, depth and norm checks read ``hat.network``, which is materialized
+    once per hat."""
+    params = hat.params
     spec = params.spec
     rng = np.random.default_rng(seed)
     half = 1.5 / spec.M

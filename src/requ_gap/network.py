@@ -15,6 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,8 +65,9 @@ class SparseMatrix:
                 raise NetworkError("row index out of range")
             if cols.min(initial=0) < 0 or cols.max(initial=0) >= self.shape[1]:
                 raise NetworkError("column index out of range")
-            keys = rows * self.shape[1] + cols
-            if np.unique(keys).size != keys.size:
+            order = np.lexsort((cols, rows))
+            r, c = rows[order], cols[order]
+            if ((r[1:] == r[:-1]) & (c[1:] == c[:-1])).any():
                 raise NetworkError("duplicate coordinate in sparse matrix")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -76,15 +78,6 @@ class SparseMatrix:
         arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
         rows, cols = np.nonzero(arr)
         return cls(arr.shape, rows, cols, arr[rows, cols])
-
-    @classmethod
-    def from_entries(cls, shape, entries) -> "SparseMatrix":
-        """Build from an iterable of (i, j, value); zeros are dropped."""
-        kept = [(i, j, v) for i, j, v in entries if v != 0.0]
-        if not kept:
-            return cls(shape, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-        rows, cols, vals = zip(*kept)
-        return cls(shape, np.array(rows), np.array(cols), np.array(vals))
 
     @property
     def nnz(self) -> int:
@@ -151,7 +144,8 @@ class SparseVector:
             raise NetworkError("idx/vals must have matching lengths")
         if idx.size and (idx.min() < 0 or idx.max() >= self.size):
             raise NetworkError("bias index out of range")
-        if np.unique(idx).size != idx.size:
+        ranked = np.sort(idx)
+        if (ranked[1:] == ranked[:-1]).any():
             raise NetworkError("duplicate index in sparse vector")
         object.__setattr__(self, "idx", idx)
         object.__setattr__(self, "vals", vals)
@@ -577,65 +571,155 @@ def eliminate_dead_layers(net: NeuralNetwork) -> NeuralNetwork:
 # serialization
 # ---------------------------------------------------------------------------
 
+def _float_texts(vals: np.ndarray) -> list[str]:
+    """repr of each value (the text json.dumps writes for a float), formatted
+    once per distinct bit pattern, so 0.0 and -0.0 keep their own text."""
+    bits, inverse = np.unique(vals.view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
+def _format_records(*columns: list) -> str:
+    """The text json.dumps writes for the list of records zip(*columns),
+    given each column as ints or as already formatted floats."""
+    width, count = len(columns), len(columns[0])
+    flat = [None] * (width * count)
+    for k, column in enumerate(columns):
+        flat[k::width] = column
+    record = "[" + ", ".join(["%s"] * width) + "]"
+    return "[" + ", ".join([record] * count) % tuple(flat) + "]"
+
+
 def serialize(net: NeuralNetwork) -> bytes:
-    """Encode as UTF-8 JSON with full double round-trip precision."""
+    """Encode as UTF-8 JSON with full double round-trip precision.
+
+    The bytes are those json.dumps writes for {"input_dim": d, "layers":
+    [{"rows": r, "cols": c, "entries": [[i, j, w], ...], "bias": [[i, b],
+    ...]}, ...]}, with entries and biases in stored order.  A NaN or infinite
+    weight or bias, which strict JSON cannot hold, raises NetworkError."""
     layers = []
-    for layer in net.layers:
+    for k, layer in enumerate(net.layers):
+        w, b = layer.weights, layer.bias
+        if not (np.isfinite(w.vals).all() and np.isfinite(b.vals).all()):
+            raise NetworkError(f"layer {k + 1}: a weight or bias is not finite")
+        entries = _format_records(w.rows.tolist(), w.cols.tolist(), _float_texts(w.vals))
+        bias = _format_records(b.idx.tolist(), _float_texts(b.vals))
         layers.append(
-            {
-                "rows": layer.out_dim,
-                "cols": layer.in_dim,
-                "entries": [
-                    [int(i), int(j), float(v)]
-                    for i, j, v in zip(
-                        layer.weights.rows, layer.weights.cols, layer.weights.vals
-                    )
-                ],
-                "bias": [
-                    [int(i), float(v)]
-                    for i, v in zip(layer.bias.idx, layer.bias.vals)
-                ],
-            }
+            f'{{"rows": {layer.out_dim}, "cols": {layer.in_dim}, '
+            f'"entries": {entries}, "bias": {bias}}}'
         )
-    doc = {"input_dim": net.input_dim, "layers": layers}
-    return json.dumps(doc).encode("utf-8")
+    return f'{{"input_dim": {net.input_dim}, "layers": [{", ".join(layers)}]}}'.encode()
+
+
+def _reject_constant(name: str):
+    raise ParseError(f"{name} is not a finite number")
+
+
+def _dim(value, name: str) -> int:
+    if type(value) is not int or value < 0:
+        raise ParseError(f"{name} must be a non-negative integer")
+    return value
+
+
+def _parse_records(items, width: int, name: str) -> np.ndarray:
+    """A JSON list of [index, ..., value] records as a (len, width) float64
+    array whose indices are integers in [0, 2**53) and whose values are
+    finite."""
+    if not isinstance(items, list):
+        raise ParseError(f"{name} must be a list")
+    if not items:
+        return np.empty((0, width))
+    malformed = f"each {name} record must be a list of {width} numbers"
+    try:
+        arr = np.array(items, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ParseError(malformed) from exc
+    if arr.shape != (len(items), width):
+        raise ParseError(malformed)
+    # np.array also converts booleans and numeric strings
+    if not set(map(type, chain.from_iterable(items))) <= {int, float}:
+        raise ParseError(f"{name} holds a non-numeric or boolean value")
+    if not np.isfinite(arr[:, -1]).all():
+        raise ParseError(f"{name} holds a value that is not finite")
+    idx = arr[:, :-1]
+    # below 2**53 every integer is exact in float64 and in int64
+    if not ((idx >= 0) & (idx < 2.0**53) & (idx == np.floor(idx))).all():
+        raise ParseError(f"{name} holds an index that is not an integer in [0, 2**53)")
+    return arr
+
+
+def _parse_layer(spec, in_dim: int) -> Layer:
+    if not isinstance(spec, dict) or not {"rows", "cols", "entries", "bias"} <= spec.keys():
+        raise ParseError("malformed record")
+    rows, cols = _dim(spec["rows"], "rows"), _dim(spec["cols"], "cols")
+    if cols != in_dim:
+        raise ParseError(
+            f"dimension chain violated (cols {cols} != previous rows {in_dim})"
+        )
+    entries = _parse_records(spec["entries"], 3, "entries")
+    entries = entries[entries[:, 2] != 0.0]
+    bias = _parse_records(spec["bias"], 2, "bias")
+    weights = SparseMatrix(
+        (rows, cols),
+        entries[:, 0].astype(np.int64),
+        entries[:, 1].astype(np.int64),
+        entries[:, 2],
+    )
+    return Layer(weights, SparseVector(rows, bias[:, 0].astype(np.int64), bias[:, 1]))
 
 
 def deserialize(data: bytes) -> NeuralNetwork:
-    """Decode a network; malformed input raises ParseError with a byte offset."""
+    """Decode a network; malformed input raises ParseError.
+
+    A JSON syntax error carries its offset; a malformed layer is named.  NaN
+    and infinite numbers, booleans, strings, non-integral or out-of-range
+    indices and duplicate coordinates are rejected; explicit zero weights are
+    dropped, as the constructors store none."""
     try:
-        doc = json.loads(data.decode("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", offset=exc.pos) from exc
+        doc = json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
     except UnicodeDecodeError as exc:
         raise ParseError("invalid UTF-8", offset=exc.start) from exc
+    except json.JSONDecodeError as exc:
+        offset = len(exc.doc[: exc.pos].encode("utf-8"))  # exc.pos counts characters
+        raise ParseError(f"invalid JSON: {exc.msg}", offset=offset) from exc
+    except ParseError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        # an integer beyond the digit limit, or nesting beyond the stack
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "layers" not in doc or "input_dim" not in doc:
         raise ParseError("missing input_dim/layers")
-    if not doc["layers"]:
-        raise ParseError("network must have at least one layer")
+    if not isinstance(doc["layers"], list) or not doc["layers"]:
+        raise ParseError("network must have a non-empty list of layers")
+    in_dim = doc["input_dim"]
     layers = []
-    prev = int(doc["input_dim"])
     for k, spec in enumerate(doc["layers"]):
         try:
-            shape = (int(spec["rows"]), int(spec["cols"]))
-            entries = spec["entries"]
-            bias = spec["bias"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"layer {k + 1}: malformed record") from exc
-        if shape[1] != prev:
-            raise ParseError(
-                f"layer {k + 1}: dimension chain violated "
-                f"(cols {shape[1]} != previous rows {prev})"
-            )
-        try:
-            w = SparseMatrix.from_entries(shape, [(i, j, v) for i, j, v in entries])
-            b = SparseVector(
-                shape[0],
-                [i for i, _ in bias],
-                [v for _, v in bias],
-            )
+            if k == 0:
+                _dim(in_dim, "input_dim")
+            layers.append(_parse_layer(spec, in_dim))
         except NetworkError as exc:
             raise ParseError(f"layer {k + 1}: {exc}") from exc
-        layers.append(Layer(w, b))
-        prev = shape[0]
+        in_dim = layers[-1].out_dim
     return NeuralNetwork(tuple(layers))
+
+
+def identical(a: NeuralNetwork, b: NeuralNetwork) -> bool:
+    """True when a and b store the same arrays in the same order, which is
+    when serialize writes the same bytes for both: the input dimension, the
+    layer shapes, the weight coordinates and bias indices, and the bit
+    patterns of the weights and biases (0.0 and -0.0 differ)."""
+
+    def stored(layer: Layer):
+        w, b = layer.weights, layer.bias
+        return (w.rows, w.cols, w.vals.view(np.int64), b.idx, b.vals.view(np.int64))
+
+    return (
+        a.input_dim == b.input_dim
+        and len(a.layers) == len(b.layers)
+        and all(
+            la.weights.shape == lb.weights.shape
+            and all(map(np.array_equal, stored(la), stored(lb)))
+            for la, lb in zip(a.layers, b.layers)
+        )
+    )

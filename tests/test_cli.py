@@ -5,6 +5,7 @@ import json
 import pytest
 
 from requ_gap.cli import main
+from requ_gap.hats import BuiltHat
 from requ_gap.network import deserialize, realize
 import numpy as np
 
@@ -58,6 +59,62 @@ class TestVerifyHat:
 
     def test_bad_params_exit_2(self):
         assert run(["verify-hat", "--M", "0.5"]) == 2
+
+    @staticmethod
+    def _edit_stored(tmp_path, edit):
+        """Build the M=2 hat, apply edit to its JSON layers, re-verify."""
+        out = tmp_path / "hat.json"
+        assert run(["build-hat", "--M", "2", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        edit(doc["layers"])
+        out.write_text(json.dumps(doc))
+        report_out = tmp_path / "verify.json"
+        code = run(["verify-hat", "--M", "2", "--network", str(out), "--out", str(report_out)])
+        return code, json.loads(report_out.read_text())
+
+    def test_weight_one_ulp_off_fails_file_compare(self, tmp_path):
+        def nudge(layers):
+            entry = layers[2]["entries"][0]
+            entry[2] = float(np.nextafter(entry[2], np.inf))
+
+        code, report = self._edit_stored(tmp_path, nudge)
+        assert code == 1 and report["file_matches"] is False and report["pass"]
+
+    def test_swapped_entries_fail_file_compare(self, tmp_path):
+        def swap(layers):
+            entries = layers[2]["entries"]
+            entries[0], entries[1] = entries[1], entries[0]
+
+        code, report = self._edit_stored(tmp_path, swap)
+        assert code == 1 and report["file_matches"] is False
+
+    def test_extra_explicit_zero_still_matches(self, tmp_path):
+        def add_zero(layers):
+            layer = layers[1]
+            taken = {(i, j) for i, j, _ in layer["entries"]}
+            free = next(
+                (i, j) for i in range(layer["rows"]) for j in range(layer["cols"])
+                if (i, j) not in taken
+            )
+            layer["entries"].append([*free, 0.0])
+
+        code, report = self._edit_stored(tmp_path, add_zero)
+        assert code == 0 and report["file_matches"] is True
+
+    def test_each_command_materializes_the_hat_once(self, tmp_path, monkeypatch):
+        calls = []
+        materialize = BuiltHat._materialize
+
+        def counting(hat):
+            calls.append(hat.params)
+            return materialize(hat)
+
+        monkeypatch.setattr(BuiltHat, "_materialize", counting)
+        out = tmp_path / "hat.json"
+        assert run(["build-hat", "--M", "2", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert run(["verify-hat", "--M", "2", "--network", str(out)]) == 0
+        assert len(calls) == 2
 
 
 class TestRates:
@@ -232,12 +289,20 @@ class TestInvalidInput:
         ],
     }
 
-    @pytest.mark.parametrize("argv", CASES.values(), ids=CASES.keys())
-    def test_exits_2_without_traceback_or_nan(self, argv, tmp_path, capsys):
+    # what the message must name, where the failure has a specific cause
+    NAMED = {
+        "lipschitz-output-overflow": "gain 2**1023.0",
+        "verify-hat-output-overflow": "gain 2**1023.0",
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_2_without_traceback_or_nan(self, case, tmp_path, capsys):
+        argv = self.CASES[case]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"{argv[0]}: ")
+        assert self.NAMED.get(case, "") in captured.err
         written = [p.read_text() for p in tmp_path.iterdir()]
         for text in [captured.out, captured.err, *written]:
             for word in ("Traceback", "NaN", "Infinity"):

@@ -285,7 +285,7 @@ class TestBuildHat:
 
 class TestVerifyHat:
     def test_passes_on_valid_params(self):
-        rep = verify_hat(hat_params(n=1, L=6, C=1.0, M=2.0, d=2), num_points=2000)
+        rep = verify_hat(build_hat(hat_params(n=1, L=6, C=1.0, M=2.0, d=2)), num_points=2000)
         assert rep["pass"]
         assert rep["max_rel_err"] <= 1e-9
         assert rep["weight_count"] <= rep["budget"]
@@ -293,7 +293,9 @@ class TestVerifyHat:
 
     def test_deterministic_given_seed(self):
         p = hat_params(n=1, L=5, M=1.0, d=1)
-        assert verify_hat(p, num_points=500, seed=3) == verify_hat(p, num_points=500, seed=3)
+        assert verify_hat(build_hat(p), num_points=500, seed=3) == verify_hat(
+            build_hat(p), num_points=500, seed=3
+        )
 
 
 class TestUnitBallScaling:

@@ -1,8 +1,10 @@
 """Tests for the sparse network data model and structural operations."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from requ_gap.network import (
@@ -18,6 +20,7 @@ from requ_gap.network import (
     depth_extend,
     deserialize,
     eliminate_dead_layers,
+    identical,
     realize,
     realize_fraction,
     rho_p,
@@ -311,6 +314,12 @@ class TestSerialization:
         else:
             pytest.fail("expected ParseError")
 
+    def test_parse_error_offset_counts_bytes(self):
+        data = '{"\u00e9\u20ac": !}'.encode()
+        with pytest.raises(ParseError) as info:
+            deserialize(data)
+        assert info.value.offset == data.index(b"!")
+
     def test_dimension_chain_violation_names_layer(self):
         doc = (
             b'{"input_dim": 1, "layers": ['
@@ -319,6 +328,241 @@ class TestSerialization:
         )
         with pytest.raises(ParseError, match="layer 2"):
             deserialize(doc)
+
+
+def json_dumps_encoder(net: NeuralNetwork) -> bytes:
+    """The per-entry json.dumps encoder that serialize replaced: the oracle
+    for its bytes."""
+    layers = [
+        {
+            "rows": layer.out_dim,
+            "cols": layer.in_dim,
+            "entries": [
+                [int(i), int(j), float(v)]
+                for i, j, v in zip(layer.weights.rows, layer.weights.cols, layer.weights.vals)
+            ],
+            "bias": [[int(i), float(v)] for i, v in zip(layer.bias.idx, layer.bias.vals)],
+        }
+        for layer in net.layers
+    ]
+    return json.dumps({"input_dim": net.input_dim, "layers": layers}).encode("utf-8")
+
+
+def without_zero_weights(net: NeuralNetwork) -> NeuralNetwork:
+    """net as deserialize returns it: explicit zero weights dropped."""
+    layers = []
+    for layer in net.layers:
+        w = layer.weights
+        keep = w.vals != 0.0
+        layers.append(
+            Layer(SparseMatrix(w.shape, w.rows[keep], w.cols[keep], w.vals[keep]), layer.bias)
+        )
+    return NeuralNetwork(tuple(layers))
+
+
+# both signed zeros, subnormals, and both sides of repr's switch to exponent
+# form below 1e-4 and at 1e16
+WIRE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 1e-05, 9.999999999999999e-05, 0.0001,
+    9999999999999998.0, 1e16, -1e16, 1.0000000000000002e16, 0.1, -1.0, 1e300,
+]
+
+
+@st.composite
+def wire_networks(draw):
+    """Networks with every coordinate either absent or holding a wire value,
+    stored in shuffled order; layers may have no rows, entries or biases."""
+    values = st.one_of(
+        st.sampled_from(WIRE_VALUES), st.floats(allow_nan=False, allow_infinity=False)
+    )
+    dims = draw(st.lists(st.integers(0, 4), min_size=2, max_size=5))
+    layers = []
+    for cols, rows in zip(dims, dims[1:]):
+        cells = draw(st.permutations([(i, j) for i in range(rows) for j in range(cols)]))
+        cells = cells[: draw(st.integers(0, len(cells)))]
+        vals = draw(st.lists(values, min_size=len(cells), max_size=len(cells)))
+        idx = draw(st.permutations(range(rows)))[: draw(st.integers(0, rows))]
+        bias = draw(st.lists(values, min_size=len(idx), max_size=len(idx)))
+        weights = SparseMatrix(
+            (rows, cols),
+            np.array([i for i, _ in cells], dtype=np.int64),
+            np.array([j for _, j in cells], dtype=np.int64),
+            np.array(vals, dtype=np.float64),
+        )
+        layers.append(Layer(weights, SparseVector(rows, idx, bias)))
+    return NeuralNetwork(tuple(layers))
+
+
+SIGNED_ZEROS = NeuralNetwork(
+    (
+        Layer(
+            SparseMatrix((2, 2), [1, 0, 0], [0, 1, 0], [-0.0, 0.0, 1e-05]),
+            SparseVector(2, [1, 0], [0.0, -0.0]),
+        ),
+        Layer(SparseMatrix((0, 2), [], [], []), SparseVector(0, [], [])),
+    )
+)
+
+
+class TestWireFormat:
+    @given(net=wire_networks())
+    @example(net=SIGNED_ZEROS)
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_equal_json_dumps_and_round_trip(self, net):
+        data = serialize(net)
+        assert data == json_dumps_encoder(net)
+        back = deserialize(data)
+        assert identical(back, without_zero_weights(net))
+        assert serialize(back) == json_dumps_encoder(without_zero_weights(net))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["weight", "bias"])
+    def test_serialize_rejects_non_finite(self, bad, where):
+        w, b = ([bad, 1.0], [1.0]) if where == "weight" else ([1.0, 1.0], [bad])
+        layer = Layer(SparseMatrix((1, 2), [0, 0], [0, 1], w), SparseVector(1, [0], b))
+        net = NeuralNetwork((layer,))
+        with pytest.raises(NetworkError, match="layer 1"):
+            serialize(net)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("where", ["weight", "bias"])
+    def test_deserialize_rejects_non_finite_constants(self, constant, where):
+        w, b = (constant, "1.0") if where == "weight" else ("1.0", constant)
+        doc = (
+            '{"input_dim": 1, "layers": [{"rows": 1, "cols": 1, '
+            f'"entries": [[0, 0, {w}]], "bias": [[0, {b}]]}}]}}'
+        ).encode()
+        with pytest.raises(ParseError, match=constant.lstrip("-")):
+            deserialize(doc)
+
+
+def layer2_doc(**layer2) -> bytes:
+    """A two-layer document whose second layer takes the given fields."""
+    second = {"rows": 1, "cols": 2, "entries": [[0, 0, 1.0], [0, 1, -1.0]], "bias": [[0, 0.5]]}
+    first = {"rows": 2, "cols": 1, "entries": [[0, 0, 1.0], [1, 0, 2.0]], "bias": []}
+    return json.dumps({"input_dim": 1, "layers": [first, {**second, **layer2}]}).encode()
+
+
+class TestDeserializeHardening:
+    CASES = {
+        "entry-of-two": dict(entries=[[0, 0]]),
+        "entry-of-four": dict(entries=[[0, 0, 1.0, 2.0]]),
+        "ragged-entries": dict(entries=[[0, 0, 1.0], [0, 1]]),
+        "bias-of-three": dict(bias=[[0, 0.5, 1.0]]),
+        "bias-of-one": dict(bias=[[0]]),
+        "string-value": dict(entries=[[0, 0, "1.0"]]),
+        "string-index": dict(entries=[["0", 0, 1.0]]),
+        "boolean-value": dict(entries=[[0, 0, True]]),
+        "boolean-index": dict(bias=[[False, 0.5]]),
+        "null-value": dict(bias=[[0, None]]),
+        "nested-value": dict(entries=[[0, 0, [1.0]]]),
+        "object-entry": dict(entries=[{"i": 0, "j": 0, "v": 1.0}]),
+        "entries-not-a-list": dict(entries={"0": 1.0}),
+        "fractional-index": dict(entries=[[0, 0.5, 1.0]]),
+        "negative-index": dict(entries=[[-1, 0, 1.0]]),
+        "huge-index": dict(entries=[[1e300, 0, 1.0]]),
+        "index-out-of-range": dict(entries=[[1, 0, 1.0]]),
+        "overflowing-value": dict(entries=[[0, 0, 10**400]]),
+        "duplicate-coordinate": dict(entries=[[0, 1, 1.0], [0, 0, 1.0], [0, 1, 2.0]]),
+        "duplicate-bias-index": dict(bias=[[0, 1.0], [0, 2.0]]),
+        "float-rows": dict(rows=1.0),
+        "negative-rows": dict(rows=-1),
+        "string-cols": dict(cols="2"),
+        "boolean-rows": dict(rows=True),
+        "missing-bias": dict(bias=None),
+    }
+
+    @pytest.mark.parametrize("layer2", CASES.values(), ids=CASES.keys())
+    def test_malformed_layer_is_named(self, layer2):
+        with pytest.raises(ParseError, match="layer 2"):
+            deserialize(layer2_doc(**layer2))
+
+    def test_integral_float_index_accepted(self):
+        net = deserialize(layer2_doc(entries=[[0.0, 1.0, 3.0]]))
+        assert net.layers[1].weights.cols.tolist() == [1]
+
+    def test_explicit_zero_weight_dropped(self):
+        net = deserialize(layer2_doc(entries=[[0, 0, 0.0], [0, 1, -0.0], [0, 1, 2.0]]))
+        assert net.layers[1].weights.vals.tolist() == [2.0]
+
+    @pytest.mark.parametrize("input_dim", [1.0, -1, "1", None, True])
+    def test_bad_input_dim_names_layer_1(self, input_dim):
+        doc = json.loads(layer2_doc())
+        doc["input_dim"] = input_dim
+        with pytest.raises(ParseError, match="layer 1: input_dim"):
+            deserialize(json.dumps(doc).encode())
+
+    DOCUMENTS = {
+        "not-an-object": b"[1, 2]",
+        "layers-not-a-list": b'{"input_dim": 1, "layers": 5}',
+        "nested-too-deep": b"[" * 100_000,
+        "integer-beyond-digit-limit": b"1" * 5000,
+    }
+
+    @pytest.mark.parametrize("data", DOCUMENTS.values(), ids=DOCUMENTS.keys())
+    def test_malformed_document(self, data):
+        with pytest.raises(ParseError):
+            deserialize(data)
+
+
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(), st.floats(), st.text(max_size=3)
+)
+json_values = st.recursive(json_leaves, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+fuzz_layers = st.fixed_dictionaries(
+    {"rows": json_values, "cols": json_values, "entries": json_values, "bias": json_values}
+)
+fuzz_documents = st.builds(
+    lambda input_dim, layers: json.dumps({"input_dim": input_dim, "layers": layers}).encode(),
+    json_values,
+    st.one_of(json_values, st.lists(fuzz_layers, max_size=3)),
+)
+
+
+class TestDeserializeFuzz:
+    @given(data=st.one_of(st.binary(max_size=200), fuzz_documents))
+    @settings(max_examples=400, deadline=None)
+    def test_any_bytes_give_a_network_or_a_parse_error(self, data):
+        try:
+            net = deserialize(data)
+        except ParseError:
+            return
+        assert isinstance(net, NeuralNetwork)
+
+
+class TestDuplicateCoordinates:
+    def test_unsorted_distinct_coordinates_accepted(self):
+        w = SparseMatrix((3, 3), [2, 0, 2, 0], [0, 2, 2, 0], [1.0, 2.0, 3.0, 4.0])
+        assert w.nnz == 4
+        assert SparseVector(4, [3, 0, 2], [1.0, 2.0, 3.0]).nnz == 3
+
+    def test_duplicate_matrix_coordinate_rejected(self):
+        # (1, 2) twice; the row and column values also repeat elsewhere
+        with pytest.raises(NetworkError, match="duplicate"):
+            SparseMatrix((3, 3), [1, 2, 1, 0], [2, 1, 2, 1], [1.0, 2.0, 3.0, 4.0])
+
+    def test_duplicate_vector_index_rejected(self):
+        with pytest.raises(NetworkError, match="duplicate"):
+            SparseVector(4, [3, 0, 3], [1.0, 2.0, 3.0])
+
+
+def one_layer(weights: SparseMatrix, bias: SparseVector | None = None) -> NeuralNetwork:
+    return NeuralNetwork((Layer(weights, bias or SparseVector(1, [], [])),))
+
+
+class TestIdentical:
+    def test_compares_stored_order_and_bit_patterns(self):
+        base = SparseMatrix((1, 2), [0, 0], [0, 1], [1.0, 0.0])
+        assert identical(one_layer(base), one_layer(base))
+        variants = [
+            one_layer(SparseMatrix((1, 2), [0, 0], [1, 0], [0.0, 1.0])),  # entries swapped
+            one_layer(SparseMatrix((1, 2), [0, 0], [0, 1], [1.0, -0.0])),  # signed zero
+            one_layer(SparseMatrix((1, 2), [0, 0], [0, 1], [np.nextafter(1.0, 2.0), 0.0])),
+            one_layer(base, SparseVector(1, [0], [0.0])),  # extra bias entry
+            one_layer(SparseMatrix((1, 3), [0, 0], [0, 1], [1.0, 0.0])),  # wider input
+        ]
+        for other in variants:
+            assert not identical(one_layer(base), other)
 
 
 class TestStructuralInvariants:
