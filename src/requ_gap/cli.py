@@ -27,11 +27,10 @@ from .hats import (
 )
 from .network import (
     GrowthPolicy,
-    deserialize,
     depth_extend,
-    identical,
     realize,
     serialize,
+    stored_as,
     sum_networks,
 )
 from .hats import lambda_network
@@ -114,6 +113,16 @@ def _finite_or_none(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
+def _positive_int(cfg, key: str) -> int:
+    """cfg[key] as an integer >= 1; a boolean, a string or a non-integral
+    number is a ConfigError naming the key."""
+    value = cfg[key]
+    integral = type(value) is int or (type(value) is float and value.is_integer())
+    if not integral or value < 1:
+        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _hat_params(cfg) -> HatBuildParams:
     policy = _policy_from(cfg)
     d = int(cfg["d"])
@@ -146,7 +155,7 @@ _HAT_DEFAULTS = {
 def cmd_build_hat(args) -> int:
     cfg = _merge_config(args, _HAT_DEFAULTS)
     hat = build_hat(_hat_params(cfg))
-    report = verify_hat(hat, num_points=int(cfg["points"]), seed=args.seed or 0)
+    report = verify_hat(hat, num_points=_positive_int(cfg, "points"), seed=args.seed or 0)
     report["config"] = cfg
     _write(args, report, serialize(hat.network) if args.out else None, sidecar=".verify.json")
     return 0 if report["pass"] else 1
@@ -155,10 +164,10 @@ def cmd_build_hat(args) -> int:
 def cmd_verify_hat(args) -> int:
     cfg = _merge_config(args, {**_HAT_DEFAULTS, "network": None})
     hat = build_hat(_hat_params(cfg))
-    report = verify_hat(hat, num_points=int(cfg["points"]), seed=args.seed or 0)
+    report = verify_hat(hat, num_points=_positive_int(cfg, "points"), seed=args.seed or 0)
     if cfg["network"]:
-        stored = deserialize(Path(cfg["network"]).read_bytes())
-        report["file_matches"] = identical(stored, hat.network)
+        data = Path(cfg["network"]).read_bytes()
+        report["file_matches"] = stored_as(data, hat.network)
     report["config"] = {k: v for k, v in cfg.items() if k != "network"}
     _write(args, report)
     return 0 if report["pass"] and report.get("file_matches", True) else 1
@@ -213,7 +222,7 @@ def cmd_lipschitz(args) -> int:
     emp = empirical_lipschitz(
         hat.realize,
         (np.zeros(params.spec.d), np.ones(params.spec.d)),
-        samples=int(cfg["samples"]),
+        samples=_positive_int(cfg, "samples"),
         norm=norm,
         seed=args.seed or 0,
     )
@@ -336,7 +345,7 @@ def cmd_sum_check(args) -> int:
     extended = depth_extend(net1, int(cfg["target_depth"]))
     summed = sum_networks(extended, net2)
     rng = np.random.default_rng(args.seed or 0)
-    x = rng.uniform(-1.0, 2.0, size=(int(cfg["points"]), 1))
+    x = rng.uniform(-1.0, 2.0, size=(_positive_int(cfg, "points"), 1))
     target = realize(net1, x) + realize(net2, x)
     got = realize(summed, x)
     ext_err = float(np.max(np.abs(realize(extended, x) - realize(net1, x))))

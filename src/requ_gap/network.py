@@ -19,7 +19,6 @@ from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class NetworkError(ValueError):
@@ -43,6 +42,9 @@ def rho_p(x, p: int = 2):
     if p < 1:
         raise ValueError(f"power must be a positive integer, got {p}")
     return np.maximum(0.0, x) ** p
+
+
+_PRODUCTS_PER_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -91,12 +93,25 @@ class SparseMatrix:
         out[self.rows, self.cols] = self.vals
         return out
 
-    def to_csr(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.vals, (self.rows, self.cols)), shape=self.shape)
-
     def matmul_points(self, pts: np.ndarray) -> np.ndarray:
-        """Apply to a batch of row vectors: (k, shape[1]) -> (k, shape[0])."""
-        return (self.to_csr() @ pts.T).T
+        """Apply to a batch of row vectors: (k, shape[1]) -> (k, shape[0]).
+
+        Each output adds its row's products to 0.0 one at a time in column
+        order, as a CSR product over sorted indices does.  The products are
+        formed for a block of entries at a time, about _PRODUCTS_PER_BLOCK
+        values."""
+        order = np.lexsort((self.cols, self.rows))
+        rows, cols, vals = self.rows[order], self.cols[order], self.vals[order]
+        x = np.ascontiguousarray(pts.T)
+        k = x.shape[1]
+        out = np.zeros(self.shape[0] * k)
+        step = max(1, _PRODUCTS_PER_BLOCK // max(1, k))
+        for s in range(0, self.nnz, step):
+            block = slice(s, s + step)
+            # np.add.at applies repeated indices one after another, in order
+            flat = (rows[block, None] * k + np.arange(k)).ravel()
+            np.add.at(out, flat, (vals[block, None] * x[cols[block]]).ravel())
+        return out.reshape(self.shape[0], k).T
 
 
 def _hstack(blocks: Sequence[SparseMatrix]) -> SparseMatrix:
@@ -723,3 +738,22 @@ def identical(a: NeuralNetwork, b: NeuralNetwork) -> bool:
             for la, lb in zip(a.layers, b.layers)
         )
     )
+
+
+def stored_as(data: bytes, net: NeuralNetwork) -> bool:
+    """True when data, the bytes of a serialized network, holds a network
+    identical to net (see identical); malformed data raises ParseError.
+
+    When every weight of net is finite and nonzero, reading the bytes
+    serialize writes for net gives net back, so data equal to them is
+    accepted without parsing.  Any other data is parsed and compared, and so
+    is any data when net stores a zero weight, which reading drops."""
+    exact = all(
+        np.isfinite(layer.weights.vals).all()
+        and np.isfinite(layer.bias.vals).all()
+        and (layer.weights.vals != 0.0).all()
+        for layer in net.layers
+    )
+    if exact and data == serialize(net):
+        return True
+    return identical(deserialize(data), net)

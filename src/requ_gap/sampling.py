@@ -313,10 +313,22 @@ def count_unseen(family: AdversarialFamily, algorithm: SamplingAlgorithm) -> int
     return family.num_centers - int(seen.size)
 
 
+_MAX_OFFSETS = 1 << 20
+
+
 def _support_offsets(family: AdversarialFamily, grid_resolution: int) -> np.ndarray:
-    """Test offsets inside one support cube; row 0 is the center itself."""
+    """Test offsets inside one support cube; row 0 is the center itself.
+
+    The grid_resolution**d interior offsets are limited to _MAX_OFFSETS
+    (2**20); a larger grid raises ValueError before anything is allocated."""
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be >= 2")
+    count = int(grid_resolution) ** family.d
+    if count > _MAX_OFFSETS:
+        raise ValueError(
+            f"grid_resolution {grid_resolution} in d={family.d} gives {count} test "
+            f"offsets per cell, more than the limit of {_MAX_OFFSETS}"
+        )
     h = 1.0 / family.M
     axis = np.linspace(-h, h, grid_resolution + 2)[1:-1]
     mesh = np.meshgrid(*([axis] * family.d), indexing="ij")

@@ -25,7 +25,10 @@ from requ_gap.network import (
     SparseVector,
     Layer,
     depth_extend,
+    deserialize,
+    identical,
     realize,
+    serialize,
     sum_networks,
 )
 from requ_gap.rates import (
@@ -118,6 +121,15 @@ def test_criterion_2_complexity_budget():
         "every built hat satisfies W <= 16 n^8 d + 7L, depth = L, "
         "max_norm <= c(n), and the exact per-matrix sparsity inventory",
     )
+
+
+def test_stored_hat_weights_read_back_exactly():
+    # verify-hat accepts build-hat's bytes without parsing them only because
+    # a hat stores no zero weight, so reading its bytes gives it back
+    for params in desk_matrix():
+        net = build_hat(params).network
+        assert all((layer.weights.vals != 0.0).all() for layer in net.layers), params
+        assert identical(deserialize(serialize(net)), net), params
 
 
 def test_criterion_3_bump_properties():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from requ_gap import network
 from requ_gap.cli import main
 from requ_gap.hats import BuiltHat
 from requ_gap.network import deserialize, realize
@@ -61,13 +62,14 @@ class TestVerifyHat:
         assert run(["verify-hat", "--M", "0.5"]) == 2
 
     @staticmethod
-    def _edit_stored(tmp_path, edit):
-        """Build the M=2 hat, apply edit to its JSON layers, re-verify."""
+    def _edit_stored(tmp_path, edit, indent=None):
+        """Build the M=2 hat, apply edit to its JSON layers, rewrite the file
+        with json.dumps(doc, indent=indent), re-verify."""
         out = tmp_path / "hat.json"
         assert run(["build-hat", "--M", "2", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         edit(doc["layers"])
-        out.write_text(json.dumps(doc))
+        out.write_text(json.dumps(doc, indent=indent))
         report_out = tmp_path / "verify.json"
         code = run(["verify-hat", "--M", "2", "--network", str(out), "--out", str(report_out)])
         return code, json.loads(report_out.read_text())
@@ -88,7 +90,7 @@ class TestVerifyHat:
         code, report = self._edit_stored(tmp_path, swap)
         assert code == 1 and report["file_matches"] is False
 
-    def test_extra_explicit_zero_still_matches(self, tmp_path):
+    def test_extra_explicit_zero_still_matches(self, tmp_path, monkeypatch):
         def add_zero(layers):
             layer = layers[1]
             taken = {(i, j) for i, j, _ in layer["entries"]}
@@ -98,8 +100,41 @@ class TestVerifyHat:
             )
             layer["entries"].append([*free, 0.0])
 
+        calls = self._count_codec_calls(monkeypatch)
         code, report = self._edit_stored(tmp_path, add_zero)
         assert code == 0 and report["file_matches"] is True
+        assert calls["deserialize"] == 1
+
+    def test_other_bytes_of_the_same_network_match(self, tmp_path):
+        code, report = self._edit_stored(tmp_path, lambda layers: None, indent=1)
+        assert code == 0 and report["file_matches"] is True
+
+    def test_truncated_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "hat.json"
+        assert run(["build-hat", "--M", "2", "--out", str(out)]) == 0
+        out.write_bytes(out.read_bytes()[:-1])
+        assert run(["verify-hat", "--M", "2", "--network", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("verify-hat: invalid JSON")
+
+    @staticmethod
+    def _count_codec_calls(monkeypatch) -> dict:
+        calls = {"serialize": 0, "deserialize": 0}
+        for name in calls:
+            original = getattr(network, name)
+
+            def counting(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(network, name, counting)
+        return calls
+
+    def test_build_hat_output_is_matched_by_its_bytes(self, tmp_path, monkeypatch):
+        out = tmp_path / "hat.json"
+        assert run(["build-hat", "--M", "2", "--out", str(out)]) == 0
+        calls = self._count_codec_calls(monkeypatch)
+        assert run(["verify-hat", "--M", "2", "--network", str(out)]) == 0
+        assert calls == {"serialize": 1, "deserialize": 0}
 
     def test_each_command_materializes_the_hat_once(self, tmp_path, monkeypatch):
         calls = []
@@ -287,17 +322,48 @@ class TestInvalidInput:
         "verify-hat-output-overflow": [
             "verify-hat", "--L", "10", "--depth-cap", "10", "--scale", "256"
         ],
+        "hardness-grid-res-100000": [
+            "hardness", "--algorithm", "grid", "--d", "2", "--m-list", "4",
+            "--grid-res", "100000",
+        ],
+        "verify-hat-points-true": ["verify-hat"],
+        "verify-hat-points-2.5": ["verify-hat"],
+        "build-hat-points-string": ["build-hat"],
+        "sum-check-points-0": ["sum-check"],
+        "sum-check-points-negative": ["sum-check"],
+        "lipschitz-samples-150.7": ["lipschitz"],
+    }
+
+    # the --config file of a case, for keys that have no flag
+    CONFIGS = {
+        "verify-hat-points-true": {"points": True},
+        "verify-hat-points-2.5": {"points": 2.5},
+        "build-hat-points-string": {"points": "10"},
+        "sum-check-points-0": {"points": 0},
+        "sum-check-points-negative": {"points": -5},
+        "lipschitz-samples-150.7": {"samples": 150.7},
     }
 
     # what the message must name, where the failure has a specific cause
     NAMED = {
         "lipschitz-output-overflow": "gain 2**1023.0",
         "verify-hat-output-overflow": "gain 2**1023.0",
+        "hardness-grid-res-100000": "10000000000 test offsets",
+        "verify-hat-points-true": "points",
+        "verify-hat-points-2.5": "points",
+        "build-hat-points-string": "points",
+        "sum-check-points-0": "points",
+        "sum-check-points-negative": "points",
+        "lipschitz-samples-150.7": "samples",
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_exits_2_without_traceback_or_nan(self, case, tmp_path, capsys):
         argv = self.CASES[case]
+        if case in self.CONFIGS:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(self.CONFIGS[case]))
+            argv = argv + ["--config", str(config)]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()

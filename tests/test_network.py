@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from requ_gap import network
 from requ_gap.network import (
     GrowthPolicy,
     Layer,
@@ -25,6 +26,7 @@ from requ_gap.network import (
     realize_fraction,
     rho_p,
     serialize,
+    stored_as,
     sum_networks,
 )
 from requ_gap.hats import BumpSpec, HatBuildParams, build_hat_network, lambda_network
@@ -563,6 +565,56 @@ class TestIdentical:
         ]
         for other in variants:
             assert not identical(one_layer(base), other)
+
+
+class TestStoredAs:
+    @given(net=wire_networks())
+    @example(net=SIGNED_ZEROS)
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_parsing(self, net):
+        data = serialize(net)
+        parsed = identical(deserialize(data), net)
+        assert stored_as(data, net) == parsed
+        reformatted = json.dumps(json.loads(data), indent=1).encode()
+        assert stored_as(reformatted, net) == parsed
+
+    def test_malformed_data_raises_parse_error(self):
+        net = one_layer(SparseMatrix((1, 1), [0], [0], [2.0]))
+        with pytest.raises(ParseError):
+            stored_as(serialize(net)[:-1], net)
+
+
+def matmul_loop(m: SparseMatrix, pts: np.ndarray) -> np.ndarray:
+    """Each output adds its row's products to 0.0 in (row, col) order: the
+    reference for matmul_points."""
+    out = [[0.0] * m.shape[0] for _ in range(len(pts))]
+    for i, j, v in sorted(zip(m.rows.tolist(), m.cols.tolist(), m.vals.tolist())):
+        for p, x in enumerate(pts.tolist()):
+            out[p][i] += v * x[j]
+    return np.array(out).reshape(len(pts), m.shape[0])
+
+
+class TestMatmulPoints:
+    @given(net=wire_networks(), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_bits_equal_the_sequential_loop(self, net, seed, k):
+        rng = np.random.default_rng(seed)
+        for layer in net.layers:
+            w = layer.weights
+            # values below 1e100 keep every product and sum finite
+            small = SparseMatrix(w.shape, w.rows, w.cols, np.clip(w.vals, -1e100, 1e100))
+            pts = rng.normal(size=(k, w.shape[1])) * 10.0 ** rng.integers(-8, 8, (k, w.shape[1]))
+            got = small.matmul_points(pts)
+            assert np.array_equal(got.view(np.int64), matmul_loop(small, pts).view(np.int64))
+
+    def test_entries_span_several_blocks(self, monkeypatch):
+        monkeypatch.setattr(network, "_PRODUCTS_PER_BLOCK", 8)
+        rng = np.random.default_rng(3)
+        flat = rng.permutation(60)[:40]
+        m = SparseMatrix((6, 10), flat // 10, flat % 10, rng.normal(size=40))
+        pts = rng.normal(size=(3, 10))
+        got = m.matmul_points(pts)
+        assert np.array_equal(got.view(np.int64), matmul_loop(m, pts).view(np.int64))
 
 
 class TestStructuralInvariants:
