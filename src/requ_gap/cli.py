@@ -80,12 +80,16 @@ def _policy_from(cfg) -> GrowthPolicy:
     depth_cap = cfg["depth_cap"]
     if depth_cap in ("inf", math.inf):
         depth_cap = math.inf
+    elif isinstance(depth_cap, str) and depth_cap.isdecimal():
+        depth_cap = int(depth_cap)  # the --depth-cap flag is text, to allow "inf"
+    else:
+        depth_cap = _config_int(cfg, "depth_cap")
     return GrowthPolicy(
         kind="parametric",
         theta_c=float(cfg["theta_c"]),
         kappa_c=float(cfg["kappa_c"]),
         scale=float(cfg["scale"]),
-        depth_cap=depth_cap if depth_cap == math.inf else int(depth_cap),
+        depth_cap=depth_cap,
     )
 
 
@@ -113,19 +117,25 @@ def _finite_or_none(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _positive_int(cfg, key: str) -> int:
-    """cfg[key] as an integer >= 1; a boolean, a string or a non-integral
-    number is a ConfigError naming the key."""
+# points or samples a command evaluates, at most
+_MAX_POINTS = 1 << 20
+
+
+def _config_int(cfg, key: str, low: int = 1, high: int | None = None) -> int:
+    """cfg[key] as an integer in [low, high]; a boolean, a string, a
+    non-integral number or a value out of range is a ConfigError naming the
+    key."""
     value = cfg[key]
     integral = type(value) is int or (type(value) is float and value.is_integer())
-    if not integral or value < 1:
-        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+    if not integral or value < low or (high is not None and value > high):
+        limits = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"{key} must be an integer {limits}, got {value!r}")
     return int(value)
 
 
 def _hat_params(cfg) -> HatBuildParams:
     policy = _policy_from(cfg)
-    d = int(cfg["d"])
+    n, L, d = (_config_int(cfg, key) for key in ("n", "L", "d"))
     y = cfg["y"]
     if y is None:
         y = [0.5] * d
@@ -133,11 +143,9 @@ def _hat_params(cfg) -> HatBuildParams:
         y = [float(v) for v in y.split(",")]
     C = cfg["C"]
     if C is None:
-        C = choose_amplitude_base(policy, int(cfg["n"]))
+        C = choose_amplitude_base(policy, n)
     spec = BumpSpec(d=d, M=float(cfg["M"]), y=tuple(y), p=2)
-    return HatBuildParams(
-        n=int(cfg["n"]), L=int(cfg["L"]), C=float(C), spec=spec, policy=policy
-    )
+    return HatBuildParams(n=n, L=L, C=float(C), spec=spec, policy=policy)
 
 
 _HAT_DEFAULTS = {
@@ -154,8 +162,9 @@ _HAT_DEFAULTS = {
 
 def cmd_build_hat(args) -> int:
     cfg = _merge_config(args, _HAT_DEFAULTS)
+    points = _config_int(cfg, "points", high=_MAX_POINTS)
     hat = build_hat(_hat_params(cfg))
-    report = verify_hat(hat, num_points=_positive_int(cfg, "points"), seed=args.seed or 0)
+    report = verify_hat(hat, num_points=points, seed=args.seed or 0)
     report["config"] = cfg
     _write(args, report, serialize(hat.network) if args.out else None, sidecar=".verify.json")
     return 0 if report["pass"] else 1
@@ -163,8 +172,9 @@ def cmd_build_hat(args) -> int:
 
 def cmd_verify_hat(args) -> int:
     cfg = _merge_config(args, {**_HAT_DEFAULTS, "network": None})
+    points = _config_int(cfg, "points", high=_MAX_POINTS)
     hat = build_hat(_hat_params(cfg))
-    report = verify_hat(hat, num_points=_positive_int(cfg, "points"), seed=args.seed or 0)
+    report = verify_hat(hat, num_points=points, seed=args.seed or 0)
     if cfg["network"]:
         data = Path(cfg["network"]).read_bytes()
         report["file_matches"] = stored_as(data, hat.network)
@@ -179,7 +189,8 @@ _RATES_DEFAULTS = {"alpha": 1.0, "d": 1, "n_max": 0, **_POLICY_DEFAULTS}
 def cmd_rates(args) -> int:
     cfg = _merge_config(args, _RATES_DEFAULTS)
     policy = _policy_from(cfg)
-    window = rate_window(float(cfg["alpha"]), int(cfg["d"]), policy)
+    n_max = _config_int(cfg, "n_max", low=0)
+    window = rate_window(float(cfg["alpha"]), _config_int(cfg, "d"), policy)
     payload = {
         "config": cfg,
         # an unbounded policy has infinite exponents (degenerate): null
@@ -190,8 +201,8 @@ def cmd_rates(args) -> int:
         "degenerate": window.degenerate,
         "method": "closed-form",
     }
-    if int(cfg["n_max"]) >= 100:
-        est = gamma_numeric(policy, int(cfg["n_max"]))
+    if n_max >= 100:
+        est = gamma_numeric(policy, n_max)
         payload["gamma_numeric"] = est[0]
     _write(args, payload)
     return 0 if not payload["degenerate"] else 1
@@ -207,6 +218,7 @@ _LIP_DEFAULTS = {
 
 def cmd_lipschitz(args) -> int:
     cfg = _merge_config(args, _LIP_DEFAULTS)
+    samples = _config_int(cfg, "samples", high=_MAX_POINTS)
     params = _hat_params(cfg)
     hat = build_hat(params)
     inp = LipschitzBoundInput(
@@ -222,7 +234,7 @@ def cmd_lipschitz(args) -> int:
     emp = empirical_lipschitz(
         hat.realize,
         (np.zeros(params.spec.d), np.ones(params.spec.d)),
-        samples=_positive_int(cfg, "samples"),
+        samples=samples,
         norm=norm,
         seed=args.seed or 0,
     )
@@ -280,7 +292,7 @@ def _sweep_command(args, defaults: dict, m_list: list[int], run) -> int:
     report = run(
         cfg,
         m_list=args.m_list or m_list,
-        d=int(cfg["d"]),
+        d=_config_int(cfg, "d"),
         alpha=float(cfg["alpha"]),
         gamma=gamma,
         policy=policy,
@@ -312,7 +324,7 @@ def cmd_mc_hardness(args) -> int:
     def run(cfg, **sweep):
         return run_mc_sweep(
             lambda m: uniform_mc(m, sweep["d"]),
-            draws=int(cfg["draws"]),
+            draws=_config_int(cfg, "draws"),
             kappa1_override=cfg["kappa1"],
             **sweep,
         )
@@ -340,12 +352,13 @@ _SUM_DEFAULTS = {
 
 def cmd_sum_check(args) -> int:
     cfg = _merge_config(args, _SUM_DEFAULTS)
+    points = _config_int(cfg, "points", high=_MAX_POINTS)
     net1 = lambda_network(float(cfg["M1"]), float(cfg["y1"]))
     net2 = lambda_network(float(cfg["M2"]), float(cfg["y2"]))
-    extended = depth_extend(net1, int(cfg["target_depth"]))
+    extended = depth_extend(net1, _config_int(cfg, "target_depth"))
     summed = sum_networks(extended, net2)
     rng = np.random.default_rng(args.seed or 0)
-    x = rng.uniform(-1.0, 2.0, size=(_positive_int(cfg, "points"), 1))
+    x = rng.uniform(-1.0, 2.0, size=(points, 1))
     target = realize(net1, x) + realize(net2, x)
     got = realize(summed, x)
     ext_err = float(np.max(np.abs(realize(extended, x) - realize(net1, x))))

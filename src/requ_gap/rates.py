@@ -128,8 +128,8 @@ def _growth_scan(policy: GrowthPolicy, L: int, n_scan: int = 1_000_000):
     that each caller fixes its own floating-point operation order."""
     small = np.arange(1, min(n_scan, 4096) + 1, dtype=np.float64)
     tail = np.geomspace(4096, max(n_scan, 4096), 600).round()
-    grid = np.unique(np.concatenate([small, tail]))
-    grid = grid[grid <= n_scan]
+    grid = np.concatenate([small, tail])  # ascending: drop the repeats
+    grid = grid[(np.diff(grid, prepend=0.0) > 0) & (grid <= n_scan)]
     e = 2.0**L - 1.0
     log2_n = np.log2(grid)
     log2_c = np.log2(np.asarray(policy.c(grid), dtype=np.float64))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .network import GrowthPolicy
 from .hats import BumpSpec, UnitBallCertificate, scaled_unit_ball_bump, vartheta
@@ -153,18 +152,45 @@ def grid_algorithm(m: int, d: int, reconstruction: str = "nearest") -> SamplingA
     )
 
 
+# squared distances held at once by the nearest-sample searches
+_CHUNK_ENTRIES = 1 << 16
+
+
+class _NearestSample:
+    """Nearest-sample stencil: the sample at the least squared Euclidean
+    distance, added up axis by axis from axis 0, the lowest index winning a
+    tie.  A brute-force search, at most ``_CHUNK_ENTRIES`` distances at a
+    time; it is the oracle for the cell-block search that
+    ``_average_error_stencil`` runs in its place."""
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+
+    def __call__(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        nearest = np.empty(len(x), np.int64)
+        step = max(1, _CHUNK_ENTRIES // len(self.points))
+        for start in range(0, len(x), step):
+            q = x[start : start + step]
+            dist = np.zeros((len(q), len(self.points)))
+            for a in range(q.shape[1]):
+                diff = q[:, a, None] - self.points[:, a]
+                dist += diff * diff
+            nearest[start : start + step] = dist.argmin(axis=1)
+        return nearest[:, None], np.ones((len(x), 1))
+
+
 def uniform_random_algorithm(m: int, d: int, seed: int = 0, rng=None) -> SamplingAlgorithm:
-    """m uniform random points with nearest-sample-point reconstruction."""
+    """m uniform random points with nearest-sample-point reconstruction
+    (ties go to the lowest sample index)."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if d < 1:
         raise ValueError("d must be >= 1")
     if rng is None:
         rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, 1.0, size=(m, d))
-    tree = cKDTree(points)
-
-    def stencil(x):
-        _, nearest = tree.query(np.atleast_2d(x), k=1)
-        return nearest.reshape(-1, 1), np.ones((len(np.atleast_2d(x)), 1))
+    stencil = _NearestSample(points)
 
     return SamplingAlgorithm(
         points=points,
@@ -309,8 +335,8 @@ def count_unseen(family: AdversarialFamily, algorithm: SamplingAlgorithm) -> int
     if algorithm.d != family.d:
         raise ValueError("algorithm and family dimensions differ")
     ci, _ = _locate_samples(family, algorithm.points)
-    seen = np.unique(ci[ci >= 0])
-    return family.num_centers - int(seen.size)
+    seen = np.bincount(ci[ci >= 0], minlength=family.num_centers)
+    return family.num_centers - int(np.count_nonzero(seen))
 
 
 _MAX_OFFSETS = 1 << 20
@@ -396,18 +422,20 @@ def _average_error_stencil(family, algorithm, offsets, theta_off):
     stencil masks out samples outside the member's cell, so a cell without a
     sample reconstructs to 0 and its row is ``amplitude * |theta_off|``; the
     seen cells are evaluated in chunks of whole cells, at most
-    ``max(_CHUNK_POINTS, G)`` test points each, so memory is O(K + chunk)."""
+    ``max(_CHUNK_POINTS, G)`` test points each, so memory is O(K + chunk).
+    A nearest-sample stencil is replaced by ``_nearest_in_seen_cells``."""
     ci, tv = _locate_samples(family, algorithm.points)
     K, G = family.num_centers, len(offsets)
     unseen_err = family.amplitude * np.abs(theta_off)
     row_max = np.full(K, unseen_err.max())
     center = np.full(K, unseen_err[0])
-    seen = np.unique(ci[ci >= 0])
-    step = max(1, _CHUNK_POINTS // G)
-    for start in range(0, len(seen), step):
-        cells = seen[start : start + step]
-        test = (family.centers[cells, None, :] + offsets[None, :, :]).reshape(-1, family.d)
-        idx, w = algorithm.linear_stencil(test)
+    seen = np.flatnonzero(np.bincount(ci[ci >= 0], minlength=K))
+    stencil = algorithm.linear_stencil
+    if isinstance(stencil, _NearestSample):
+        chunks = _nearest_in_seen_cells(family, stencil, ci, seen, offsets)
+    else:
+        chunks = _stencil_in_seen_cells(family, stencil, seen, offsets)
+    for cells, idx, w in chunks:
         mask = ci[idx] == np.repeat(cells, G)[:, None]
         recon = (w * tv[idx] * mask).sum(axis=1)
         err = family.amplitude * np.abs(np.tile(theta_off, len(cells)) - recon)
@@ -415,6 +443,112 @@ def _average_error_stencil(family, algorithm, offsets, theta_off):
         row_max[cells] = err.max(axis=1)
         center[cells] = err[:, 0]
     return row_max, center
+
+
+def _test_points(family, cells, offsets):
+    """(cells, G, d) test points: each cell's center plus every offset."""
+    return family.centers[cells, None, :] + offsets[None, :, :]
+
+
+def _stencil_in_seen_cells(family, stencil, seen, offsets):
+    """(cells, indices, weights) of the stencil at the test points of the
+    seen cells, cell-major, in calls of at most max(_CHUNK_POINTS, G) points."""
+    step = max(1, _CHUNK_POINTS // len(offsets))
+    for start in range(0, len(seen), step):
+        cells = seen[start : start + step]
+        test = _test_points(family, cells, offsets).reshape(-1, family.d)
+        yield (cells, *stencil(test))
+
+
+def _nearest_in_seen_cells(family, stencil, ci, seen, offsets):
+    """What ``_stencil_in_seen_cells`` yields for a nearest-sample stencil,
+    from a few candidate samples per cell.
+
+    A cell's test points lie inside its box (half-width h = 1/M around its
+    center), and so does a sample s of a seen cell (``ci`` gives the cell
+    of each sample).  No test point is farther from s than the box corner
+    farthest from s, at distance ``reach``, so a sample farther than
+    ``reach`` from the box is farther than s from every test point: the
+    candidates are the samples within ``reach`` of the box, sorted by index
+    so that argmin keeps the lowest index on a tie.  They are screened from
+    all samples or, when fewer cells than samples lie in the block of
+    (2*ceil(sqrt(d)) + 1)**d cells around the cell, from the samples
+    bucketed in that block (reach <= 2h*sqrt(d), so none outside it is a
+    candidate); so each cell costs the smaller of the two counts.
+    Their distances are added up as in the brute-force search, at most
+    _CHUNK_ENTRIES at a time (or one candidate row, if that is wider)."""
+    d, k, G = family.d, family.per_axis, len(offsets)
+    points, shape, h = stencil.points, (k,) * d, 1.0 / family.M
+    m = len(points)
+    r = math.isqrt(d - 1) + 1  # ceil(sqrt(d))
+    gather = (2 * r + 1) ** d < m
+    if gather:
+        axis = np.arange(-r, r + 1)
+        block = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+        cell_of = np.clip(np.floor(points * k), 0, k - 1).astype(np.int64)
+        bucket = np.ravel_multi_index(cell_of.T, shape)
+        count = np.bincount(bucket, minlength=k**d)
+        first = np.cumsum(count) - count
+        by_bucket = np.argsort(bucket, kind="stable")
+    owner = np.empty(family.num_centers, np.int64)
+    inside = np.flatnonzero(ci >= 0)
+    owner[ci[inside]] = inside
+    corner = np.abs(points[owner[seen]] - family.centers[seen]) + h
+    # the factor keeps every sample that rounding could tie with s
+    reach = (corner * corner).sum(axis=1) * (1 + 1e-9)
+    step = max(1, _CHUNK_ENTRIES // max(G, len(block) if gather else m))
+    for start in range(0, len(seen), step):
+        cells = seen[start : start + step]
+        n = len(cells)
+        if gather:
+            near = np.stack(np.unravel_index(cells, shape), axis=1)[:, None, :] + block
+            within = ((near >= 0) & (near < k)).all(axis=2)
+            near = np.ravel_multi_index(np.moveaxis(np.clip(near, 0, k - 1), -1, 0), shape)
+            runs = np.where(within, count[near], 0).ravel()
+            # the ids in each block bucket, bucket after bucket, cell after cell
+            ends = np.cumsum(runs)
+            ids = by_bucket[np.repeat(first[near.ravel()] - (ends - runs), runs) + np.arange(ends[-1])]
+            row = np.repeat(np.arange(n), runs.reshape(n, -1).sum(axis=1))
+            ids = np.sort(row * m + ids) - row * m
+        else:
+            row, ids = np.repeat(np.arange(n), m), np.tile(np.arange(m), n)
+        # keep the samples within reach of their cell's box
+        gap = np.abs(points[ids] - family.centers[cells[row]]) - h
+        np.maximum(gap, 0.0, out=gap)
+        keep = (gap * gap).sum(axis=1) <= reach[start : start + step][row]
+        row, ids = row[keep], ids[keep]
+        per = np.bincount(row, minlength=n)
+        # one row of candidates per cell, padded with its lowest id
+        lowest = np.cumsum(per) - per
+        cand = np.repeat(ids[lowest][:, None], per.max(), axis=1)
+        cand[row, np.arange(len(ids)) - lowest[row]] = ids
+        # cells with the most candidates first, so that each group of rows
+        # is cut to the width of its first row
+        order = np.argsort(-per, kind="stable")
+        s = 0
+        while s < n:
+            width = per[order[s]]
+            rows = order[s : s + max(1, _CHUNK_ENTRIES // (G * width))]
+            s += len(rows)
+            c = cand[rows, :width]
+            p = points[c]
+            idx = np.empty((len(rows), G), np.int64)
+            # a cell with more than _CHUNK_ENTRIES distances takes its test
+            # points in slices
+            span = max(1, _CHUNK_ENTRIES // (len(rows) * width))
+            for o in range(0, G, span):
+                q = _test_points(family, cells[rows], offsets[o : o + span])
+                # 0 + x == x for a square x, so starting from axis 0's term
+                # gives the brute-force search's sums
+                dist = np.subtract(q[:, :, 0, None], p[:, None, :, 0])
+                np.multiply(dist, dist, out=dist)
+                diff = np.empty_like(dist)
+                for a in range(1, d):
+                    np.subtract(q[:, :, a, None], p[:, None, :, a], out=diff)
+                    np.multiply(diff, diff, out=diff)
+                    dist += diff
+                idx[:, o : o + span] = np.take_along_axis(c, dist.argmin(axis=2), axis=1)
+            yield cells[rows], idx.reshape(-1, 1), np.ones((idx.size, 1))
 
 
 def _average_error_generic(family, algorithm, offsets, theta_off):

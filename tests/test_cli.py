@@ -1,10 +1,16 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import requ_gap
 from requ_gap import network
+from requ_gap import cli
 from requ_gap.cli import main
 from requ_gap.hats import BuiltHat
 from requ_gap.network import deserialize, realize
@@ -294,6 +300,17 @@ class TestEnvironment:
         assert run(["hardness", "--m-list", "4,16", "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
 
+    def test_import_loads_no_scipy(self):
+        code = (
+            "import sys, requ_gap.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(requ_gap.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"
+
 
 class TestInvalidInput:
     CASES = {
@@ -332,6 +349,21 @@ class TestInvalidInput:
         "sum-check-points-0": ["sum-check"],
         "sum-check-points-negative": ["sum-check"],
         "lipschitz-samples-150.7": ["lipschitz"],
+        "build-hat-n-1.9": ["build-hat"],
+        "build-hat-L-5.7": ["build-hat"],
+        "verify-hat-d-true": ["verify-hat"],
+        "rates-d-true": ["rates"],
+        "rates-n-max-1000.5": ["rates"],
+        "rates-n-max-negative": ["rates"],
+        "hardness-d-2.5": ["hardness"],
+        "mc-hardness-draws-30.9": ["mc-hardness"],
+        "sum-check-target-depth-5.5": ["sum-check"],
+        "lipschitz-depth-cap-7.5": ["lipschitz"],
+        "rates-depth-cap-flag-7.5": ["rates", "--depth-cap", "7.5"],
+        "sum-check-points-1e13": ["sum-check"],
+        "build-hat-points-above-cap": ["build-hat"],
+        "verify-hat-points-above-cap": ["verify-hat"],
+        "lipschitz-samples-above-cap": ["lipschitz"],
     }
 
     # the --config file of a case, for keys that have no flag
@@ -342,6 +374,20 @@ class TestInvalidInput:
         "sum-check-points-0": {"points": 0},
         "sum-check-points-negative": {"points": -5},
         "lipschitz-samples-150.7": {"samples": 150.7},
+        "build-hat-n-1.9": {"n": 1.9, "L": 5},
+        "build-hat-L-5.7": {"n": 1, "L": 5.7},
+        "verify-hat-d-true": {"d": True},
+        "rates-d-true": {"d": True},
+        "rates-n-max-1000.5": {"n_max": 1000.5},
+        "rates-n-max-negative": {"n_max": -1},
+        "hardness-d-2.5": {"d": 2.5},
+        "mc-hardness-draws-30.9": {"draws": 30.9},
+        "sum-check-target-depth-5.5": {"target_depth": 5.5},
+        "lipschitz-depth-cap-7.5": {"depth_cap": 7.5},
+        "sum-check-points-1e13": {"points": 10_000_000_000_000},
+        "build-hat-points-above-cap": {"points": cli._MAX_POINTS + 1},
+        "verify-hat-points-above-cap": {"points": cli._MAX_POINTS + 1},
+        "lipschitz-samples-above-cap": {"samples": cli._MAX_POINTS + 1},
     }
 
     # what the message must name, where the failure has a specific cause
@@ -355,6 +401,21 @@ class TestInvalidInput:
         "sum-check-points-0": "points",
         "sum-check-points-negative": "points",
         "lipschitz-samples-150.7": "samples",
+        "build-hat-n-1.9": "n must be an integer",
+        "build-hat-L-5.7": "L must be an integer",
+        "verify-hat-d-true": "d must be an integer",
+        "rates-d-true": "d must be an integer",
+        "rates-n-max-1000.5": "n_max must be an integer",
+        "rates-n-max-negative": "n_max must be an integer",
+        "hardness-d-2.5": "d must be an integer",
+        "mc-hardness-draws-30.9": "draws must be an integer",
+        "sum-check-target-depth-5.5": "target_depth must be an integer",
+        "lipschitz-depth-cap-7.5": "depth_cap must be an integer",
+        "rates-depth-cap-flag-7.5": "depth_cap must be an integer",
+        "sum-check-points-1e13": "points must be an integer",
+        "build-hat-points-above-cap": "points must be an integer",
+        "verify-hat-points-above-cap": "points must be an integer",
+        "lipschitz-samples-above-cap": "samples must be an integer",
     }
 
     @pytest.mark.parametrize("case", CASES)

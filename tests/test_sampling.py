@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from requ_gap import sampling
 from requ_gap.network import GrowthPolicy
 from requ_gap.sampling import (
     AdversarialFamily,
+    SamplingAlgorithm,
     average_error,
     build_adversarial_family,
     count_unseen,
@@ -91,10 +93,144 @@ class TestOtherAlgorithms:
         x = np.random.default_rng(3).uniform(0, 1, (50, 2))
         np.testing.assert_array_equal(recon(x), 0.0)
 
+    def test_uniform_random_rejects_empty_budget(self):
+        with pytest.raises(ValueError):
+            uniform_random_algorithm(0, 2)
+
     def test_uniform_mc_budget(self):
         mc = uniform_mc(25, 2)
         alg = mc.generator(np.random.default_rng(0))
         assert alg.m == 25 and mc.budget == 25
+
+
+def _brute_nearest(points, x):
+    """A plain loop: the squared distance added up from axis 0, the least
+    one winning and the lowest index winning a tie."""
+    found = []
+    for q in x.tolist():
+        dists = []
+        for p in points.tolist():
+            s = 0.0
+            for qa, pa in zip(q, p):
+                s += (qa - pa) * (qa - pa)
+            dists.append(s)
+        found.append(min(range(len(dists)), key=lambda j: (dists[j], j)))
+    return found
+
+
+def _nearest_algorithm(points):
+    points = np.asarray(points, dtype=np.float64)
+    stencil = sampling._NearestSample(points)
+    return SamplingAlgorithm(
+        points=points,
+        reconstruct=sampling._stencil_reconstruct(points, stencil),
+        label="nearest",
+        linear_stencil=stencil,
+    )
+
+
+def _check_cell_search(fam, alg, res):
+    """The nearest-sample cell search gives every test point of every seen
+    cell the brute-force answer, and average_error equals the one it gets
+    from the same stencil behind a wrapper, which the search skips."""
+    ci, _ = sampling._locate_samples(fam, alg.points)
+    seen = np.flatnonzero(np.bincount(ci[ci >= 0], minlength=fam.num_centers))
+    offsets = sampling._support_offsets(fam, res)
+    chunks = list(sampling._nearest_in_seen_cells(fam, alg.linear_stencil, ci, seen, offsets))
+    for cells, idx, _ in chunks:
+        test = sampling._test_points(fam, cells, offsets).reshape(-1, fam.d)
+        assert np.array_equal(idx, alg.linear_stencil(test)[0])
+    assert sorted(c for cells, _, _ in chunks for c in cells.tolist()) == seen.tolist()
+    reference = dataclasses.replace(alg, linear_stencil=lambda x: alg.linear_stencil(x))
+    assert average_error(fam, alg, res) == average_error(fam, reference, res)
+
+
+# coordinates on a 1/16 lattice reaching outside [0, 1], so that duplicate
+# samples and queries equidistant from two samples are common
+_LATTICE = st.integers(-8, 24).map(lambda i: i / 16)
+
+
+class TestNearestSample:
+    def test_equidistant_query_takes_lowest_index(self):
+        for pts in ([[0.25], [0.75]], [[0.75], [0.25]]):
+            idx, w = sampling._NearestSample(np.array(pts))(np.array([[0.5]]))
+            assert idx.tolist() == [[0]] and w.tolist() == [[1.0]]
+
+    def test_duplicate_samples_take_lowest_index(self):
+        pts = np.array([[0.9, 0.1], [0.3, 0.3], [0.3, 0.3]])
+        idx, _ = sampling._NearestSample(pts)(np.array([[0.31, 0.29], [0.0, 0.0]]))
+        assert idx[:, 0].tolist() == [1, 1]
+
+    def test_single_sample(self):
+        idx, _ = sampling._NearestSample(np.array([[0.4, 0.6]]))(
+            np.array([[-3.0, 0.5], [0.4, 0.6], [7.0, 7.0]])
+        )
+        assert idx[:, 0].tolist() == [0, 0, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        data=st.data(),
+        chunk=st.sampled_from([1, 5, 1 << 16]),
+    )
+    def test_matches_plain_argmin(self, d, data, chunk):
+        point = st.lists(_LATTICE, min_size=d, max_size=d)
+        pts = np.array(data.draw(st.lists(point, min_size=1, max_size=12)))
+        x = np.array(data.draw(st.lists(point, min_size=1, max_size=20)))
+        with mock.patch.object(sampling, "_CHUNK_ENTRIES", chunk):
+            idx, w = sampling._NearestSample(pts)(x)
+        assert idx[:, 0].tolist() == _brute_nearest(pts, x)
+        assert np.array_equal(w, np.ones((len(x), 1)))
+
+    def test_cell_block_search_breaks_ties_by_index(self):
+        # M = 64: the test point 3/128 of cell 0 is 1/128 from the sample
+        # 1/32 (index 0, bucket 1) and from the sample 1/64 (index 1,
+        # bucket 0); index 0 must win although its bucket comes second.  The
+        # two far samples make more samples than the 3-cell block has cells,
+        # so the block is gathered
+        fam = build_adversarial_family(16, 1, ALPHA, GAMMA, POLICY5)
+        alg = _nearest_algorithm([[1 / 32], [1 / 64], [0.9], [0.95]])
+        assert alg.linear_stencil(np.array([[3 / 128]]))[0].tolist() == [[0]]
+        reference = dataclasses.replace(alg, linear_stencil=lambda x: alg.linear_stencil(x))
+        assert average_error(fam, alg, 3) == average_error(fam, reference, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        fam_m=st.sampled_from([16, 64]),
+        chunk=st.sampled_from([30, 1 << 16]),
+        data=st.data(),
+    )
+    def test_cell_block_search_matches_brute_force(self, d, fam_m, chunk, data):
+        # samples on a lattice through the test points (grid resolution 3 or
+        # 7; M is a power of 2, so distances tie exactly), with duplicates
+        # and cell-boundary samples; resolution 7 puts test points near the
+        # cell walls, where the search has the least slack.  Up to d = 4 a
+        # draw may hold more samples than the block of
+        # (2*ceil(sqrt(d)) + 1)**d cells, which is then gathered;
+        # ceil(sqrt(d)) has no slack at d = 4 and is 3 at d = 5.  A chunk of
+        # 30 distances takes the seen cells one at a time.
+        fam = build_adversarial_family(fam_m, d, ALPHA, GAMMA, POLICY5)
+        res = data.draw(st.sampled_from([3, 7] if d <= 3 else [3]))
+        steps = 8 * fam.M
+        count = data.draw(st.integers(1, {1: 8, 2: 60, 3: 250, 4: 1000, 5: 80}[d]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        alg = _nearest_algorithm(rng.integers(0, steps + 1, (count, d)) / steps)
+        with mock.patch.object(sampling, "_CHUNK_ENTRIES", chunk):
+            _check_cell_search(fam, alg, res)
+
+    def test_cell_block_search_reaches_two_cells_away(self):
+        # d = 2, cells of width w = 1/8: the sample s of cell (3, 3) sits
+        # near the cell's corner (3, 3) w, and the test point (3.875, 3.875) w
+        # is 1.215 w from it; its nearest sample is (5.0625, 3.875) w, 1.1875 w
+        # away, two cells over and 1.0625 w from the cell, within its reach
+        # of 1.39 w.  Thirty more samples make the 5 x 5 block gathered.
+        fam = build_adversarial_family(16, 2, ALPHA, GAMMA, POLICY5)
+        w = 1 / fam.per_axis
+        far = [[i * w / 8, 0.0] for i in range(30)]
+        alg = _nearest_algorithm([[(3 + 1 / 64) * w] * 2, [5.0625 * w, 3.875 * w], *far])
+        assert alg.linear_stencil(np.array([[3.875 * w] * 2]))[0].tolist() == [[1]]
+        _check_cell_search(fam, alg, 7)
 
 
 class TestAdversarialFamily:
@@ -212,6 +348,10 @@ class TestAverageError:
         seen = fam200.num_centers - count_unseen(fam200, random200)
         assert seen > sampling._CHUNK_POINTS // 730  # 9**3 + 1 offsets per cell
         cases.append((fam200, random200))
+        # the nearest-sample cell-block search in d = 1 and d = 2
+        for m, d, seed in ((64, 1, 21), (300, 1, 22), (64, 2, 23), (256, 2, 24)):
+            fam_md = build_adversarial_family(m, d, ALPHA, GAMMA, POLICY5)
+            cases.append((fam_md, uniform_random_algorithm(m, d, seed=seed)))
         for fam, alg in cases:
             fast = average_error(fam, alg, method="stencil")
             slow = average_error(fam, alg, method="generic")
