@@ -119,17 +119,18 @@ def _finite_or_none(x: float) -> float | None:
 
 # points or samples a command evaluates, at most
 _MAX_POINTS = 1 << 20
+# any other integer, at most: every integer up to it is exact in float64
+_MAX_INT = 1 << 53
 
 
-def _config_int(cfg, key: str, low: int = 1, high: int | None = None) -> int:
+def _config_int(cfg, key: str, low: int = 1, high: int = _MAX_INT) -> int:
     """cfg[key] as an integer in [low, high]; a boolean, a string, a
     non-integral number or a value out of range is a ConfigError naming the
     key."""
     value = cfg[key]
     integral = type(value) is int or (type(value) is float and value.is_integer())
-    if not integral or value < low or (high is not None and value > high):
-        limits = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ConfigError(f"{key} must be an integer {limits}, got {value!r}")
+    if not integral or not low <= value <= high:
+        raise ConfigError(f"{key} must be an integer in [{low}, {high}], got {value!r}")
     return int(value)
 
 

@@ -586,23 +586,43 @@ def eliminate_dead_layers(net: NeuralNetwork) -> NeuralNetwork:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _float_texts(vals: np.ndarray) -> list[str]:
-    """repr of each value (the text json.dumps writes for a float), formatted
-    once per distinct bit pattern, so 0.0 and -0.0 keep their own text."""
+_RECORDS_PER_BLOCK = 1 << 15
+
+
+def _records(pieces: list, columns: Sequence[np.ndarray], vals: np.ndarray) -> None:
+    """Append to pieces the bytes json.dumps writes for the list of records
+    zip(*columns, vals): non-negative integer columns, finite float values.
+
+    A block of records is a NUL-padded uint8 matrix, a record per row, laid
+    out as '[' fields joined by ', ' ']'.  Index digits are written column by
+    column, leading zeros left NUL.  A value's text is repr of its float (what
+    json.dumps writes), taken from a table with a row per distinct bit
+    pattern, so 0.0 and -0.0 keep their own text.  Dropping the NULs gives
+    the records."""
+    if not vals.size:
+        pieces.append(b"[]")
+        return
     bits, inverse = np.unique(vals.view(np.int64), return_inverse=True)
-    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return texts[inverse].tolist()
-
-
-def _format_records(*columns: list) -> str:
-    """The text json.dumps writes for the list of records zip(*columns),
-    given each column as ints or as already formatted floats."""
-    width, count = len(columns), len(columns[0])
-    flat = [None] * (width * count)
-    for k, column in enumerate(columns):
-        flat[k::width] = column
-    record = "[" + ", ".join(["%s"] * width) + "]"
-    return "[" + ", ".join([record] * count) % tuple(flat) + "]"
+    texts = np.array([repr(v).encode() for v in bits.view(np.float64).tolist()])
+    table = texts.view(np.uint8).reshape(bits.size, -1)
+    pieces.append(b"[")
+    for s in range(0, vals.size, _RECORDS_PER_BLOCK):
+        ints = [c[s : s + _RECORDS_PER_BLOCK] for c in columns]
+        widths = [len(str(c.max())) for c in ints] + [table.shape[1]]
+        layout = b"[" + b", ".join(b"\0" * w for w in widths) + b"], "
+        block = np.tile(np.frombuffer(layout, np.uint8), (len(ints[0]), 1))
+        start = 1
+        for q, w in zip(ints, widths):
+            for k in range(start + w - 1, start - 1, -1):
+                q, r = np.divmod(q, 10)
+                # a digit is a leading zero when it and all above it are 0
+                block[:, k] = np.where((q + r > 0) | (k == start + w - 1), r + 48, 0)
+            start += w + 2
+        block[:, start : start + widths[-1]] = table[inverse[s : s + _RECORDS_PER_BLOCK]]
+        flat = block.ravel()
+        pieces.append(flat[flat != 0].tobytes())
+    pieces[-1] = pieces[-1][:-2]  # the last record's ', '
+    pieces.append(b"]")
 
 
 def serialize(net: NeuralNetwork) -> bytes:
@@ -612,18 +632,20 @@ def serialize(net: NeuralNetwork) -> bytes:
     [{"rows": r, "cols": c, "entries": [[i, j, w], ...], "bias": [[i, b],
     ...]}, ...]}, with entries and biases in stored order.  A NaN or infinite
     weight or bias, which strict JSON cannot hold, raises NetworkError."""
-    layers = []
+    pieces = [f'{{"input_dim": {net.input_dim}, "layers": ['.encode()]
     for k, layer in enumerate(net.layers):
         w, b = layer.weights, layer.bias
         if not (np.isfinite(w.vals).all() and np.isfinite(b.vals).all()):
             raise NetworkError(f"layer {k + 1}: a weight or bias is not finite")
-        entries = _format_records(w.rows.tolist(), w.cols.tolist(), _float_texts(w.vals))
-        bias = _format_records(b.idx.tolist(), _float_texts(b.vals))
-        layers.append(
-            f'{{"rows": {layer.out_dim}, "cols": {layer.in_dim}, '
-            f'"entries": {entries}, "bias": {bias}}}'
-        )
-    return f'{{"input_dim": {net.input_dim}, "layers": [{", ".join(layers)}]}}'.encode()
+        sep = ", " if k else ""
+        head = f'{sep}{{"rows": {layer.out_dim}, "cols": {layer.in_dim}, "entries": '
+        pieces.append(head.encode())
+        _records(pieces, (w.rows, w.cols), w.vals)
+        pieces.append(b', "bias": ')
+        _records(pieces, (b.idx,), b.vals)
+        pieces.append(b"}")
+    pieces.append(b"]}")
+    return b"".join(pieces)
 
 
 def _reject_constant(name: str):

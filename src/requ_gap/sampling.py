@@ -388,7 +388,9 @@ def average_error(
     that holds no sample reconstructs to exactly 0, so its error is
     ``amplitude * |theta(offset)|`` in closed form; only the seen cells go
     through the stencil, at most ``max(_CHUNK_POINTS, G)`` test points per
-    call, with G the number of test offsets per cell."""
+    call, with G the number of test offsets per cell.  The stencil and
+    generic paths agree to rounding, not bit for bit: one takes
+    ``amplitude * |theta - v|``, the other ``|amplitude*theta - amplitude*v|``."""
     if algorithm.d != family.d:
         raise ValueError("algorithm and family dimensions differ")
     use_stencil = method == "stencil" or (
@@ -553,7 +555,7 @@ def _nearest_in_seen_cells(family, stencil, ci, seen, offsets):
 
 def _average_error_generic(family, algorithm, offsets, theta_off):
     """Per-member path valid for arbitrary reconstruction maps; returns the
-    same per-center maxima and center errors as the stencil path."""
+    per-center maxima and center errors of the stencil path, to rounding."""
     K = family.num_centers
     row_max, center = np.empty(K), np.empty(K)
     amp = family.amplitude

@@ -364,6 +364,9 @@ class TestInvalidInput:
         "build-hat-points-above-cap": ["build-hat"],
         "verify-hat-points-above-cap": ["verify-hat"],
         "lipschitz-samples-above-cap": ["lipschitz"],
+        "build-hat-n-1e300": ["build-hat"],
+        "rates-n-max-1e20": ["rates", "--n-max", "100000000000000000000"],
+        "rates-n-max-beyond-int64": ["rates", "--n-max", "10000000000000000000"],
     }
 
     # the --config file of a case, for keys that have no flag
@@ -388,6 +391,7 @@ class TestInvalidInput:
         "build-hat-points-above-cap": {"points": cli._MAX_POINTS + 1},
         "verify-hat-points-above-cap": {"points": cli._MAX_POINTS + 1},
         "lipschitz-samples-above-cap": {"samples": cli._MAX_POINTS + 1},
+        "build-hat-n-1e300": {"n": 1e300},
     }
 
     # what the message must name, where the failure has a specific cause
@@ -416,6 +420,9 @@ class TestInvalidInput:
         "build-hat-points-above-cap": "points must be an integer",
         "verify-hat-points-above-cap": "points must be an integer",
         "lipschitz-samples-above-cap": "samples must be an integer",
+        "build-hat-n-1e300": "n must be an integer",
+        "rates-n-max-1e20": "n_max must be an integer",
+        "rates-n-max-beyond-int64": "n_max must be an integer",
     }
 
     @pytest.mark.parametrize("case", CASES)

@@ -437,6 +437,54 @@ class TestWireFormat:
         with pytest.raises(ParseError, match=constant.lstrip("-")):
             deserialize(doc)
 
+    def test_multi_digit_indices(self):
+        # each side of every digit-count step, up to the largest index
+        # deserialize accepts
+        idx = np.array([10**k + e for k in range(16) for e in (-1, 0)] + [2**53 - 1])
+        vals = np.resize(WIRE_VALUES, idx.size)
+        wide = 2**53
+        net = NeuralNetwork(
+            (
+                Layer(
+                    SparseMatrix((wide, 3), idx, idx % 3, vals),
+                    SparseVector(wide, idx[::-1], vals),
+                ),
+                Layer(SparseMatrix((7, wide), idx % 7, idx, -vals), SparseVector(7, [], [])),
+            )
+        )
+        data = serialize(net)
+        assert data == json_dumps_encoder(net)
+        assert identical(deserialize(data), without_zero_weights(net))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_record_counts_at_block_edges(self, offset):
+        count = network._RECORDS_PER_BLOCK + offset
+        rng = np.random.default_rng(count)
+        rows = rng.permutation(count)  # indices of 1 to 5 digits in every block
+        vals = np.concatenate([WIRE_VALUES, rng.normal(size=count)])[:count]
+        layer = Layer(
+            SparseMatrix((count, 1), rows, np.zeros(count, np.int64), vals),
+            SparseVector(count, rows, vals[::-1]),
+        )
+        net = NeuralNetwork((layer,))
+        assert serialize(net) == json_dumps_encoder(net)
+
+    def test_empty_entries_next_to_bias(self):
+        layer = Layer(SparseMatrix((2, 3), [], [], []), SparseVector(2, [1], [0.5]))
+        last = Layer(SparseMatrix((1, 2), [0], [1], [2.0]), SparseVector(1, [], []))
+        net = NeuralNetwork((layer, last))
+        assert serialize(net) == json_dumps_encoder(net)
+        assert b'"entries": [], "bias": [[1, 0.5]]' in serialize(net)
+
+    def test_materialized_hat_bytes_equal_json_dumps(self):
+        # n=3, L=5, d=1: real hat structure, indices of up to 5 digits
+        params = HatBuildParams(
+            n=3, L=5, C=1.0, spec=BumpSpec(d=1, M=2.0, y=(0.5,)), policy=GrowthPolicy()
+        )
+        net = build_hat_network(params)
+        assert net.weight_count() == 72_195
+        assert serialize(net) == json_dumps_encoder(net)
+
 
 def layer2_doc(**layer2) -> bytes:
     """A two-layer document whose second layer takes the given fields."""
