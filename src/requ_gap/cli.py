@@ -2,8 +2,8 @@
 Lipschitz bounds, and run hardness / upper-bound sweeps.
 
 Configuration comes from an optional JSON file (--config) merged with
-command-line flags (flags win); every emitted artifact embeds the fully
-resolved configuration so it is self-describing.  Exit status encodes the
+command-line flags (flags win); every emitted artifact embeds the typed
+keys its command read, so it is self-describing.  Exit status encodes the
 scientific pass/fail of the command, not merely crash-freedom.
 """
 
@@ -23,6 +23,7 @@ from .hats import (
     HatBuildParams,
     build_hat,
     choose_amplitude_base,
+    lambda_network,
     verify_hat,
 )
 from .network import (
@@ -33,7 +34,6 @@ from .network import (
     stored_as,
     sum_networks,
 )
-from .hats import lambda_network
 from .rates import (
     LipschitzBoundInput,
     empirical_lipschitz,
@@ -57,43 +57,161 @@ class ConfigError(ValueError):
     pass
 
 
-def _merge_config(args, defaults: dict) -> dict:
-    cfg = dict(defaults)
+# points or samples a command evaluates, at most
+_MAX_POINTS = 1 << 20
+# any other integer, at most: every integer up to it is exact in float64
+_MAX_INT = 1 << 53
+
+# A key's kind is (what a valid value is, check, flag type): check(value)
+# returns the typed value or raises ValueError; a flag's text is converted
+# by its argparse type, so check sees the same form from a flag and a file.
+def _integer(low=1, high=_MAX_INT, inf=False):
+    def check(value):
+        if inf and value == "inf":
+            return value
+        if type(value) is float and value.is_integer():
+            value = int(value)
+        if type(value) is not int or not low <= value <= high:
+            raise ValueError
+        return value
+    # --depth-cap 7.5 reaches check as 7.5, to be rejected naming the key
+    flag = (lambda text: text if text == "inf" else float(text)) if inf else int
+    return f"an integer in [{low}, {high}]" + (' or "inf"' if inf else ""), check, flag
+
+
+def _real(above=-math.inf, below=math.inf, null=False):
+    def check(value):
+        if null and value is None:
+            return value
+        # a bool is no number; abs() <= max rejects NaN, inf and huge ints
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ValueError
+        if not above < value < below:
+            raise ValueError
+        return float(value)
+    bounds = f" in ({above}, {below})" if (above, below) != (-math.inf, math.inf) else ""
+    return "a finite number" + bounds + (" or null" if null else ""), check, float
+
+
+def _choice(*options):
+    def check(value):
+        if type(value) is not str or value not in options:
+            raise ValueError
+        return value
+    return f"one of {list(options)}", check, str
+
+
+def _path(value):
+    if value is not None and type(value) is not str:
+        raise ValueError
+    return value
+
+
+def _reals(value):
+    if value is not None and type(value) is not list:
+        raise ValueError
+    return value if value is None else [_real()[1](v) for v in value]
+
+
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+_ALGORITHMS = {
+    "grid": lambda m, d, seed: grid_algorithm(m, d, "nearest"),
+    "grid-multilinear": lambda m, d, seed: grid_algorithm(m, d, "multilinear"),
+    "random": lambda m, d, seed: uniform_random_algorithm(m, d, seed=seed),
+    "zero": lambda m, d, seed: zero_algorithm(m, d),
+}
+
+# every config key: its default and its kind
+_KEYS = {
+    "theta_c": (0.0, _real()),
+    "kappa_c": (0.0, _real()),
+    "scale": (1.0, _real()),
+    "depth_cap": (5, _integer(inf=True)),
+    "n": (1, _integer()),
+    "L": (5, _integer()),
+    "C": (None, _real(below=2.0**128, null=True)),  # C**8 finite
+    "M": (1.0, _real()),
+    "d": (1, _integer()),
+    "y": (None, ("a list of finite numbers or null", _reals, _floats)),
+    "points": (10_000, _integer(high=_MAX_POINTS)),
+    "network": (None, ("a path or null", _path, str)),
+    "alpha": (1.0, _real()),
+    "n_max": (0, _integer(low=0)),
+    "R": (1.0, _real()),
+    "norm": ("unit-cube-l1", _choice("l1", "linf", "unit-cube-l1", "unit-cube-linf")),
+    "samples": (1000, _integer(high=_MAX_POINTS)),
+    "gamma": (None, _real(null=True)),
+    "algorithm": ("grid", _choice(*_ALGORITHMS)),
+    "kappa1": (None, _real(above=0, null=True)),
+    "draws": (30, _integer()),
+    "reconstruction": ("nearest", _choice("nearest", "multilinear")),
+    "M1": (1.0, _real(below=2.0**256)),  # M1**4 finite
+    "y1": (0.25, _real()),
+    "M2": (2.0, _real(below=2.0**256)),  # M2**4 finite
+    "y2": (0.75, _real()),
+    "target_depth": (5, _integer()),
+}
+
+# the keys each command reads, a key with a flag written as that flag
+_POLICY = ("--theta-c", "--kappa-c", "--scale", "--depth-cap")
+_HAT = (*_POLICY, "--n", "--L", "--C", "--M", "--d")
+_SWEEP = (*_POLICY, "--alpha", "--d", "--gamma")
+_COMMANDS = {
+    "build-hat": (*_HAT, "--y", "points"),
+    "verify-hat": (*_HAT, "--y", "--network", "points"),
+    "rates": (*_POLICY, "--alpha", "--d", "--n-max"),
+    "lipschitz": (*_HAT, "--norm", "y", "R", "samples"),
+    "hardness": (*_SWEEP, "--algorithm", "--kappa1"),
+    "mc-hardness": (*_SWEEP, "--kappa1", "--draws"),
+    "upper-bound": (*_SWEEP, "--reconstruction"),
+    "sum-check": ("--M1", "--y1", "--M2", "--y2", "--target-depth", "points"),
+}
+_COMMAND_DEFAULTS = {"sum-check": {"points": 1000}}
+
+
+def _key(name: str) -> str:
+    return name.removeprefix("--").replace("-", "_")
+
+
+def _merge_config(args) -> dict:
+    """The keys args.command reads: table defaults, then --config, then
+    flags, each checked once against its kind and returned typed."""
+    cfg = {_key(name): _KEYS[_key(name)][0] for name in _COMMANDS[args.command]}
+    cfg.update(_COMMAND_DEFAULTS.get(args.command, {}))
     if args.config:
         with open(args.config, "rb") as fh:
             try:
                 file_cfg = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"invalid config JSON: {exc}") from exc
-        unknown = set(file_cfg) - set(defaults)
+        if type(file_cfg) is not dict:
+            raise ConfigError("config must be a JSON object")
+        unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
-    for key in defaults:
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            cfg[key] = flag
+    for key, value in cfg.items():
+        flag = getattr(args, key, None)  # None also for a key with no flag
+        value = value if flag is None else flag
+        what, check, _ = _KEYS[key][1]
+        try:
+            cfg[key] = check(value)
+        except ValueError:
+            raise ConfigError(f"{key} must be {what}, got {value!r}") from None
     return cfg
 
 
 def _policy_from(cfg) -> GrowthPolicy:
-    depth_cap = cfg["depth_cap"]
-    if depth_cap in ("inf", math.inf):
-        depth_cap = math.inf
-    elif isinstance(depth_cap, str) and depth_cap.isdecimal():
-        depth_cap = int(depth_cap)  # the --depth-cap flag is text, to allow "inf"
-    else:
-        depth_cap = _config_int(cfg, "depth_cap")
     return GrowthPolicy(
         kind="parametric",
-        theta_c=float(cfg["theta_c"]),
-        kappa_c=float(cfg["kappa_c"]),
-        scale=float(cfg["scale"]),
-        depth_cap=depth_cap,
+        theta_c=cfg["theta_c"],
+        kappa_c=cfg["kappa_c"],
+        scale=cfg["scale"],
+        depth_cap=math.inf if cfg["depth_cap"] == "inf" else cfg["depth_cap"],
     )
-
-
-_POLICY_DEFAULTS = {"theta_c": 0.0, "kappa_c": 0.0, "scale": 1.0, "depth_cap": 5}
 
 
 def _write(args, doc: dict, artifact: bytes | None = None, sidecar: str = ".json") -> None:
@@ -117,65 +235,27 @@ def _finite_or_none(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-# points or samples a command evaluates, at most
-_MAX_POINTS = 1 << 20
-# any other integer, at most: every integer up to it is exact in float64
-_MAX_INT = 1 << 53
-
-
-def _config_int(cfg, key: str, low: int = 1, high: int = _MAX_INT) -> int:
-    """cfg[key] as an integer in [low, high]; a boolean, a string, a
-    non-integral number or a value out of range is a ConfigError naming the
-    key."""
-    value = cfg[key]
-    integral = type(value) is int or (type(value) is float and value.is_integer())
-    if not integral or not low <= value <= high:
-        raise ConfigError(f"{key} must be an integer in [{low}, {high}], got {value!r}")
-    return int(value)
-
-
 def _hat_params(cfg) -> HatBuildParams:
     policy = _policy_from(cfg)
-    n, L, d = (_config_int(cfg, key) for key in ("n", "L", "d"))
-    y = cfg["y"]
-    if y is None:
-        y = [0.5] * d
-    elif isinstance(y, str):
-        y = [float(v) for v in y.split(",")]
-    C = cfg["C"]
-    if C is None:
-        C = choose_amplitude_base(policy, n)
-    spec = BumpSpec(d=d, M=float(cfg["M"]), y=tuple(y), p=2)
-    return HatBuildParams(n=n, L=L, C=float(C), spec=spec, policy=policy)
-
-
-_HAT_DEFAULTS = {
-    "n": 1,
-    "L": 5,
-    "C": None,
-    "M": 1.0,
-    "d": 1,
-    "y": None,
-    "points": 10_000,
-    **_POLICY_DEFAULTS,
-}
+    C = choose_amplitude_base(policy, cfg["n"]) if cfg["C"] is None else cfg["C"]
+    y = [0.5] * cfg["d"] if cfg["y"] is None else cfg["y"]
+    spec = BumpSpec(d=cfg["d"], M=cfg["M"], y=tuple(y), p=2)
+    return HatBuildParams(n=cfg["n"], L=cfg["L"], C=C, spec=spec, policy=policy)
 
 
 def cmd_build_hat(args) -> int:
-    cfg = _merge_config(args, _HAT_DEFAULTS)
-    points = _config_int(cfg, "points", high=_MAX_POINTS)
+    cfg = _merge_config(args)
     hat = build_hat(_hat_params(cfg))
-    report = verify_hat(hat, num_points=points, seed=args.seed or 0)
+    report = verify_hat(hat, num_points=cfg["points"], seed=args.seed or 0)
     report["config"] = cfg
     _write(args, report, serialize(hat.network) if args.out else None, sidecar=".verify.json")
     return 0 if report["pass"] else 1
 
 
 def cmd_verify_hat(args) -> int:
-    cfg = _merge_config(args, {**_HAT_DEFAULTS, "network": None})
-    points = _config_int(cfg, "points", high=_MAX_POINTS)
+    cfg = _merge_config(args)
     hat = build_hat(_hat_params(cfg))
-    report = verify_hat(hat, num_points=points, seed=args.seed or 0)
+    report = verify_hat(hat, num_points=cfg["points"], seed=args.seed or 0)
     if cfg["network"]:
         data = Path(cfg["network"]).read_bytes()
         report["file_matches"] = stored_as(data, hat.network)
@@ -184,14 +264,10 @@ def cmd_verify_hat(args) -> int:
     return 0 if report["pass"] and report.get("file_matches", True) else 1
 
 
-_RATES_DEFAULTS = {"alpha": 1.0, "d": 1, "n_max": 0, **_POLICY_DEFAULTS}
-
-
 def cmd_rates(args) -> int:
-    cfg = _merge_config(args, _RATES_DEFAULTS)
+    cfg = _merge_config(args)
     policy = _policy_from(cfg)
-    n_max = _config_int(cfg, "n_max", low=0)
-    window = rate_window(float(cfg["alpha"]), _config_int(cfg, "d"), policy)
+    window = rate_window(cfg["alpha"], cfg["d"], policy)
     payload = {
         "config": cfg,
         # an unbounded policy has infinite exponents (degenerate): null
@@ -202,31 +278,21 @@ def cmd_rates(args) -> int:
         "degenerate": window.degenerate,
         "method": "closed-form",
     }
-    if n_max >= 100:
-        est = gamma_numeric(policy, n_max)
-        payload["gamma_numeric"] = est[0]
+    if cfg["n_max"] >= 100:
+        payload["gamma_numeric"] = gamma_numeric(policy, cfg["n_max"])[0]
     _write(args, payload)
     return 0 if not payload["degenerate"] else 1
 
 
-_LIP_DEFAULTS = {
-    **_HAT_DEFAULTS,
-    "R": 1.0,
-    "norm": "unit-cube-l1",
-    "samples": 1000,
-}
-
-
 def cmd_lipschitz(args) -> int:
-    cfg = _merge_config(args, _LIP_DEFAULTS)
-    samples = _config_int(cfg, "samples", high=_MAX_POINTS)
+    cfg = _merge_config(args)
     params = _hat_params(cfg)
     hat = build_hat(params)
     inp = LipschitzBoundInput(
         L=params.L,
         C=params.C,
         n=hat.weight_budget(),
-        R=float(cfg["R"]),
+        R=cfg["R"],
         d=params.spec.d,
         norm=cfg["norm"],
     )
@@ -235,7 +301,7 @@ def cmd_lipschitz(args) -> int:
     emp = empirical_lipschitz(
         hat.realize,
         (np.zeros(params.spec.d), np.ones(params.spec.d)),
-        samples=samples,
+        samples=cfg["samples"],
         norm=norm,
         seed=args.seed or 0,
     )
@@ -255,53 +321,36 @@ def cmd_lipschitz(args) -> int:
     return 0 if payload["pass"] else 1
 
 
-_SWEEP_DEFAULTS = {
-    "d": 1,
-    "alpha": 1.0,
-    "gamma": None,
-    "algorithm": "grid",
-    "kappa1": None,
-    "draws": 30,
-    **_POLICY_DEFAULTS,
-}
-
-_ALGORITHMS = {
-    "grid": lambda m, d, seed: grid_algorithm(m, d, "nearest"),
-    "grid-multilinear": lambda m, d, seed: grid_algorithm(m, d, "multilinear"),
-    "random": lambda m, d, seed: uniform_random_algorithm(m, d, seed=seed),
-    "zero": lambda m, d, seed: zero_algorithm(m, d),
-}
-
-
 def _resolve_gamma(cfg, policy) -> float:
     if cfg["gamma"] is not None:
-        return float(cfg["gamma"])
+        return cfg["gamma"]
     flat, _ = gamma_closed_form(policy)
     if not math.isfinite(flat):
         raise ConfigError("gamma must be given explicitly for unbounded policies")
     return flat - 0.5
 
 
-def _sweep_command(args, defaults: dict, m_list: list[int], run) -> int:
+def _sweep_command(args, m_list: list[int], run) -> int:
     """The steps shared by the sweep commands.  ``run(cfg, **sweep)`` runs
     the sweep given the keyword arguments all sweep runners take."""
     if not args.out:
         raise ConfigError("--out is required")
-    cfg = _merge_config(args, defaults)
+    cfg = _merge_config(args)
     policy = _policy_from(cfg)
     gamma = _resolve_gamma(cfg, policy)
+    m_list = m_list if args.m_list is None else args.m_list
     report = run(
         cfg,
-        m_list=args.m_list or m_list,
-        d=_config_int(cfg, "d"),
-        alpha=float(cfg["alpha"]),
+        m_list=m_list,
+        d=cfg["d"],
+        alpha=cfg["alpha"],
         gamma=gamma,
         policy=policy,
         grid_resolution=9 if args.grid_res is None else args.grid_res,
         seed=args.seed or 0,
     )
     envelope = json.loads(report.to_json())
-    envelope["config"] = {**cfg, "gamma": gamma, "m_list": list(args.m_list or [])}
+    envelope["config"] = {**cfg, "gamma": gamma, "m_list": m_list}
     csv = report.to_csv().encode() if (args.format or "csv") == "csv" else None
     _write(args, envelope, csv)
     return 0 if report.passed else 1
@@ -309,8 +358,6 @@ def _sweep_command(args, defaults: dict, m_list: list[int], run) -> int:
 
 def cmd_hardness(args) -> int:
     def run(cfg, **sweep):
-        if cfg["algorithm"] not in _ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {cfg['algorithm']!r}")
         make = _ALGORITHMS[cfg["algorithm"]]
         return run_hardness_sweep(
             lambda m: make(m, sweep["d"], sweep["seed"]),
@@ -318,48 +365,36 @@ def cmd_hardness(args) -> int:
             **sweep,
         )
 
-    return _sweep_command(args, _SWEEP_DEFAULTS, [4, 16, 64, 256], run)
+    return _sweep_command(args, [4, 16, 64, 256], run)
 
 
 def cmd_mc_hardness(args) -> int:
     def run(cfg, **sweep):
         return run_mc_sweep(
             lambda m: uniform_mc(m, sweep["d"]),
-            draws=_config_int(cfg, "draws"),
+            draws=cfg["draws"],
             kappa1_override=cfg["kappa1"],
             **sweep,
         )
 
-    return _sweep_command(args, _SWEEP_DEFAULTS, [4, 16, 64], run)
+    return _sweep_command(args, [4, 16, 64], run)
 
 
 def cmd_upper_bound(args) -> int:
     def run(cfg, **sweep):
         return run_upper_bound_sweep(reconstruction=cfg["reconstruction"], **sweep)
 
-    defaults = {**_SWEEP_DEFAULTS, "reconstruction": "nearest"}
-    return _sweep_command(args, defaults, [16, 64, 256, 1024, 4096], run)
-
-
-_SUM_DEFAULTS = {
-    "M1": 1.0,
-    "y1": 0.25,
-    "M2": 2.0,
-    "y2": 0.75,
-    "target_depth": 5,
-    "points": 1000,
-}
+    return _sweep_command(args, [16, 64, 256, 1024, 4096], run)
 
 
 def cmd_sum_check(args) -> int:
-    cfg = _merge_config(args, _SUM_DEFAULTS)
-    points = _config_int(cfg, "points", high=_MAX_POINTS)
-    net1 = lambda_network(float(cfg["M1"]), float(cfg["y1"]))
-    net2 = lambda_network(float(cfg["M2"]), float(cfg["y2"]))
-    extended = depth_extend(net1, _config_int(cfg, "target_depth"))
+    cfg = _merge_config(args)
+    net1 = lambda_network(cfg["M1"], cfg["y1"])
+    net2 = lambda_network(cfg["M2"], cfg["y2"])
+    extended = depth_extend(net1, cfg["target_depth"])
     summed = sum_networks(extended, net2)
     rng = np.random.default_rng(args.seed or 0)
-    x = rng.uniform(-1.0, 2.0, size=(points, 1))
+    x = rng.uniform(-1.0, 2.0, size=(cfg["points"], 1))
     target = realize(net1, x) + realize(net2, x)
     got = realize(summed, x)
     ext_err = float(np.max(np.abs(realize(extended, x) - realize(net1, x))))
@@ -392,33 +427,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "build-hat": cmd_build_hat,
-        "verify-hat": cmd_verify_hat,
-        "rates": cmd_rates,
-        "lipschitz": cmd_lipschitz,
-        "hardness": cmd_hardness,
-        "mc-hardness": cmd_mc_hardness,
-        "upper-bound": cmd_upper_bound,
-        "sum-check": cmd_sum_check,
-    }
-    extra_flags = {
-        "build-hat": ["n", "L", "C", "M", "d", "y"],
-        "verify-hat": ["n", "L", "C", "M", "d", "y", "network"],
-        "rates": ["alpha", "d", "n_max"],
-        "lipschitz": ["n", "L", "C", "M", "d", "norm"],
-        "hardness": ["alpha", "d", "gamma", "algorithm", "kappa1"],
-        "mc-hardness": ["alpha", "d", "gamma", "kappa1", "draws"],
-        "upper-bound": ["alpha", "d", "gamma", "reconstruction"],
-        "sum-check": ["M1", "y1", "M2", "y2", "target_depth"],
-    }
-    types = {
-        "n": int, "L": int, "d": int, "n_max": int, "draws": int,
-        "target_depth": int, "alpha": float, "gamma": float, "C": float,
-        "M": float, "M1": float, "M2": float, "y1": float, "y2": float,
-        "kappa1": float, "scale": float, "theta_c": float, "kappa_c": float,
-    }
-    for name, func in commands.items():
+    for name, keys in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         p.add_argument("--out", default=None)
@@ -427,28 +436,16 @@ def main(argv=None) -> int:
             p.add_argument("--grid-res", type=int, default=None)
             p.add_argument("--m-list", type=_parse_m_list, default=None)
             p.add_argument("--format", choices=("csv", "json"), default=None)
-        for key in ("theta_c", "kappa_c", "scale", "depth_cap"):
-            if name != "sum-check":
-                p.add_argument(
-                    f"--{key.replace('_', '-')}",
-                    type=types.get(key, str),
-                    default=None,
-                    dest=key,
-                )
-        for key in extra_flags[name]:
-            p.add_argument(
-                f"--{key.replace('_', '-')}",
-                type=types.get(key, str),
-                default=None,
-                dest=key,
-            )
-        p.set_defaults(func=func)
+        for flag in keys:
+            if flag.startswith("--"):
+                p.add_argument(flag, type=_KEYS[_key(flag)][1][2])
     args, unknown = parser.parse_known_args(argv)
     if unknown:
         print(f"{args.command}: unrecognized arguments: {' '.join(unknown)}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        # looked up at call time, so a cmd_* wrapped on the module (bench/tracing.py) runs
+        return globals()[f"cmd_{_key(args.command)}"](args)
     except (ValueError, OSError) as exc:
         # invalid input (ConfigError is a ValueError) or an unreadable file
         print(f"{args.command}: {exc}", file=sys.stderr)

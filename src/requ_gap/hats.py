@@ -127,8 +127,8 @@ def vartheta(spec: BumpSpec, x):
 
 def lambda_network(M: float, y: float) -> NeuralNetwork:
     """Three-layer ReQU network realizing x -> M**-4 * lambda^2_{M,y}(x)."""
-    if M < 1:
-        raise ValueError("lambda_network requires M >= 1")
+    if not 1 <= M < 2.0**256:  # M**4 finite; also rejects NaN
+        raise ValueError("lambda_network requires 1 <= M < 2**256 (M**4 finite)")
     l1 = Layer(
         SparseMatrix.from_dense([[1.0], [-1.0]]),
         SparseVector.from_dense([-y, y]),

@@ -1,12 +1,19 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import argparse
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import requ_gap
 from requ_gap import network
@@ -274,6 +281,15 @@ class TestConfigHandling:
         assert code == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_echo_holds_the_typed_keys_read(self, tmp_path, capsys):
+        assert run(["rates", "--depth-cap", "7"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["depth_cap"] == 7
+        out = tmp_path / "mc.csv"
+        assert run(["mc-hardness", "--out", str(out)]) == 0
+        config = json.loads((tmp_path / "mc.csv.json").read_text())["config"]
+        assert config["m_list"] == [4, 16, 64]
+        assert "algorithm" not in config and config["draws"] == 30
+
     def test_invalid_json_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -367,6 +383,26 @@ class TestInvalidInput:
         "build-hat-n-1e300": ["build-hat"],
         "rates-n-max-1e20": ["rates", "--n-max", "100000000000000000000"],
         "rates-n-max-beyond-int64": ["rates", "--n-max", "10000000000000000000"],
+        "rates-alpha-null": ["rates"],
+        "rates-alpha-list": ["rates"],
+        "rates-alpha-true": ["rates"],
+        "rates-alpha-string": ["rates"],
+        "rates-scale-null": ["rates"],
+        "build-hat-M-null": ["build-hat"],
+        "build-hat-y-number": ["build-hat"],
+        "build-hat-C-true": ["build-hat"],
+        "build-hat-C-1e300": ["build-hat"],
+        "sum-check-M1-null": ["sum-check"],
+        "sum-check-M1-1e300": ["sum-check"],
+        "sum-check-M1-flag-1e300": ["sum-check", "--M1", "1e300"],
+        "hardness-algorithm-list": ["hardness"],
+        "hardness-kappa1-0": ["hardness"],
+        "hardness-kappa1-negative": ["hardness"],
+        "mc-hardness-algorithm": ["mc-hardness"],
+        "verify-hat-network-5": ["verify-hat"],
+        "verify-hat-network-true": ["verify-hat"],
+        "hardness-m-list-empty": ["hardness", "--m-list", ","],
+        "rates-config-not-object": ["rates"],
     }
 
     # the --config file of a case, for keys that have no flag
@@ -392,6 +428,24 @@ class TestInvalidInput:
         "verify-hat-points-above-cap": {"points": cli._MAX_POINTS + 1},
         "lipschitz-samples-above-cap": {"samples": cli._MAX_POINTS + 1},
         "build-hat-n-1e300": {"n": 1e300},
+        "rates-alpha-null": {"alpha": None},
+        "rates-alpha-list": {"alpha": [1]},
+        "rates-alpha-true": {"alpha": True},
+        "rates-alpha-string": {"alpha": "2"},
+        "rates-scale-null": {"scale": None},
+        "build-hat-M-null": {"M": None},
+        "build-hat-y-number": {"y": 0.5},
+        "build-hat-C-true": {"C": True},
+        "build-hat-C-1e300": {"C": 1e300},
+        "sum-check-M1-null": {"M1": None},
+        "sum-check-M1-1e300": {"M1": 1e300},
+        "hardness-algorithm-list": {"algorithm": ["grid"]},
+        "hardness-kappa1-0": {"kappa1": 0},
+        "hardness-kappa1-negative": {"kappa1": -1.0},
+        "mc-hardness-algorithm": {"algorithm": "grid"},
+        "verify-hat-network-5": {"network": 5},
+        "verify-hat-network-true": {"network": True},
+        "rates-config-not-object": 5,
     }
 
     # what the message must name, where the failure has a specific cause
@@ -423,6 +477,26 @@ class TestInvalidInput:
         "build-hat-n-1e300": "n must be an integer",
         "rates-n-max-1e20": "n_max must be an integer",
         "rates-n-max-beyond-int64": "n_max must be an integer",
+        "rates-alpha-null": "alpha must be a finite number",
+        "rates-alpha-list": "alpha must be a finite number",
+        "rates-alpha-true": "alpha must be a finite number",
+        "rates-alpha-string": "alpha must be a finite number",
+        "rates-scale-null": "scale must be a finite number",
+        "build-hat-M-null": "M must be a finite number",
+        "build-hat-y-number": "y must be a list of finite numbers",
+        "build-hat-C-true": "C must be a finite number",
+        "build-hat-C-1e300": "C must be a finite number",
+        "sum-check-M1-null": "M1 must be a finite number",
+        "sum-check-M1-1e300": "M1 must be a finite number",
+        "sum-check-M1-flag-1e300": "M1 must be a finite number",
+        "hardness-algorithm-list": "algorithm must be one of",
+        "hardness-kappa1-0": "kappa1 must be a finite number in (0, inf)",
+        "hardness-kappa1-negative": "kappa1 must be a finite number in (0, inf)",
+        "mc-hardness-algorithm": "unknown config keys: ['algorithm']",
+        "verify-hat-network-5": "network must be a path",
+        "verify-hat-network-true": "network must be a path",
+        "hardness-m-list-empty": "m_list must be non-empty",
+        "rates-config-not-object": "config must be a JSON object",
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -452,3 +526,98 @@ class TestInvalidInput:
         text = (tmp_path / "one.csv.json").read_text()
         doc = json.loads(text, parse_constant=reject)
         assert doc["fitted_exponent"] is None
+
+
+# the option strings each subcommand's parser accepts
+FLAGS = {
+    "build-hat": "--C --L --M --d --n --y",
+    "verify-hat": "--C --L --M --d --n --network --y",
+    "rates": "--alpha --d --n-max",
+    "lipschitz": "--C --L --M --d --n --norm",
+    "hardness": "--algorithm --alpha --d --format --gamma --grid-res --kappa1 --m-list",
+    "mc-hardness": "--alpha --d --draws --format --gamma --grid-res --kappa1 --m-list",
+    "upper-bound": "--alpha --d --format --gamma --grid-res --m-list --reconstruction",
+    "sum-check": "--M1 --M2 --target-depth --y1 --y2",
+}
+COMMON_FLAGS = "-h --help --config --out --seed"
+POLICY_FLAGS = "--theta-c --kappa-c --scale --depth-cap"
+
+
+def test_each_command_takes_its_flags(monkeypatch, capsys):
+    parsers = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def recording(parser, *args, **kwargs):
+        parsers.append(parser)
+        return parse(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    assert main(["rates"]) == 0
+    (commands,) = (a for a in parsers[0]._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == list(FLAGS)
+    for name, parser in commands.choices.items():
+        want = set(f"{COMMON_FLAGS} {FLAGS[name]}".split())
+        if name != "sum-check":
+            want |= set(POLICY_FLAGS.split())
+        assert {s for a in parser._actions for s in a.option_strings} == want, name
+
+
+# valid values of each config key, small enough that a command runs fast
+SMALL = {
+    "theta_c": [0.0, 0.5], "kappa_c": [0.0, 1.0], "scale": [1.0, 256.0],
+    "depth_cap": [5, 7.0, "inf"], "n": [1, 2], "L": [5, 6], "C": [None, 1.0, 1],
+    "M": [1.0, 2], "d": [1, 2.0], "y": [None, [0.5], [0.25, 0.75]],
+    "points": [1, 2000], "network": [None], "alpha": [1.0, 2], "n_max": [0, 100, 1000],
+    "R": [1.0, 2.0], "norm": ["l1", "linf", "unit-cube-l1", "unit-cube-linf"],
+    "samples": [100, 2000], "gamma": [None, 15.0], "kappa1": [None, 0.5],
+    "algorithm": ["grid", "grid-multilinear", "random", "zero"], "draws": [30],
+    "reconstruction": ["nearest", "multilinear"], "M1": [1.0, 4], "y1": [0.25, 0.0],
+    "M2": [2.0, 1], "y2": [0.75, 1.0], "target_depth": [3, 5],
+}
+WRONG_TYPE = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
+)
+OUT_OF_RANGE = st.sampled_from(
+    [0, -1, -0.5, 2.5, 1e300, -1e300, 2**53 + 1, 10**400, math.nan, math.inf, -math.inf]
+)
+# the keys each command reads, and the argv that keeps its run small
+READS = {
+    "build-hat": ("n L C M d y points", []),
+    "verify-hat": ("n L C M d y points network", []),
+    "rates": ("alpha d n_max", []),
+    "lipschitz": ("n L C M d y R norm samples", []),
+    "hardness": ("alpha d gamma algorithm kappa1", ["--m-list", "4,16,64"]),
+    "mc-hardness": ("alpha d gamma kappa1 draws", ["--m-list", "4,16,64"]),
+    "upper-bound": ("alpha d gamma reconstruction", ["--m-list", "16,64"]),
+    "sum-check": ("M1 y1 M2 y2 target_depth points", []),
+}
+POLICY_KEYS = ["theta_c", "kappa_c", "scale", "depth_cap"]
+SIZES = {"points", "samples", "draws", "n_max"}  # always drawn, so never the default
+
+
+@pytest.mark.parametrize("command", READS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_any_config_value_exits_cleanly(command, data):
+    keys, argv = READS[command]
+    keys = keys.split() + ([] if command == "sum-check" else POLICY_KEYS)
+    config = data.draw(st.fixed_dictionaries(
+        {k: st.sampled_from(SMALL[k]) for k in keys if k in SIZES},
+        optional={k: st.sampled_from(SMALL[k]) for k in keys if k not in SIZES},
+    ))
+    for key in data.draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        config[key] = data.draw(st.one_of(WRONG_TYPE, OUT_OF_RANGE))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, *argv, "--config", str(path), "--out", f"{tmp}/out"])
+        written = [p.read_text() for p in Path(tmp).iterdir() if p != path]
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith(f"{command}: ")
+    for text in [out.getvalue(), err.getvalue(), *written]:
+        for word in ("Traceback", "NaN", "Infinity"):
+            assert word not in text

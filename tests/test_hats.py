@@ -185,6 +185,11 @@ class TestLambdaNetwork:
         with pytest.raises(ValueError):
             lambda_network(0.5, 0.0)
 
+    @pytest.mark.parametrize("M", [2.0**256, 1e300, math.inf, math.nan])
+    def test_rejects_width_whose_fourth_power_overflows(self, M):
+        with pytest.raises(ValueError, match="M\\*\\*4 finite"):
+            lambda_network(M, 0.5)
+
 
 def hat_params(n=1, L=5, C=1.0, M=1.0, d=1, policy=None, y=None):
     policy = policy or GrowthPolicy(kind="parametric", scale=256.0, depth_cap=7)
