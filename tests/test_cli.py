@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import argparse
+import hashlib
 import io
 import json
 import math
@@ -256,6 +257,32 @@ class TestSweepCommands:
         assert code == 0
         sidecar = json.loads((tmp_path / "ub.csv.json").read_text())
         assert sidecar["fitted_exponent"] <= sidecar["params"]["slope_target"]
+
+    # sweeps whose CSV bytes pin every nearest index and every rounding of
+    # the error arithmetic; the d=2 digest is the sweep-mc-d2 reference in
+    # bench/reference.json
+    PINNED = {
+        "mc-hardness-d2": (
+            ["mc-hardness", "--d", "2", "--m-list", "16,64,256,1024", "--seed", "0"],
+            "e9145dbcc18174bb8acf6db9045f821ee743e6af8b26bf77e4c96abfc9ecd882",
+        ),
+        "mc-hardness-d3": (
+            ["mc-hardness", "--d", "3", "--m-list", "16,64"],
+            "6129418a535bca97dc100fd2b0b477a39a8fa05f23d28e0cd270bff4031aa6c1",
+        ),
+        "hardness-random-d4": (
+            ["hardness", "--algorithm", "random", "--d", "4", "--m-list", "16,81",
+             "--grid-res", "5"],
+            "85630e182c7bc4fad9bce4aa001eb5605ccd2a648afd7792a50eee99d857ec8a",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", PINNED)
+    def test_sweep_csv_bytes_are_pinned(self, case, tmp_path):
+        argv, digest = self.PINNED[case]
+        out = tmp_path / "sweep.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestConfigHandling:
