@@ -57,6 +57,14 @@ class ConfigError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises a ConfigError, its message led by the
+    command's name, where argparse would print usage and exit with 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog.split()[-1]}: {message}")
+
+
 # points or samples a command evaluates, at most
 _MAX_POINTS = 1 << 20
 # any other integer, at most: every integer up to it is exact in float64
@@ -74,8 +82,11 @@ def _integer(low=1, high=_MAX_INT, inf=False):
         if type(value) is not int or not low <= value <= high:
             raise ValueError
         return value
-    # --depth-cap 7.5 reaches check as 7.5, to be rejected naming the key
-    flag = (lambda text: text if text == "inf" else float(text)) if inf else int
+    def number(text):
+        # --depth-cap 7.5 reaches check as 7.5, to be rejected naming the key
+        return text if text == "inf" else float(text)
+
+    flag = number if inf else int
     return f"an integer in [{low}, {high}]" + (' or "inf"' if inf else ""), check, flag
 
 
@@ -115,6 +126,10 @@ def _reals(value):
 
 def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
+
+
+# argparse names a flag's type by its __name__ in a conversion error
+_floats.__name__ = "number list"
 
 
 _ALGORITHMS = {
@@ -420,8 +435,11 @@ def _parse_m_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v]
 
 
+_parse_m_list.__name__ = "integer list"
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="requ-gap",
         description="ReQU network constructions, rate bounds and sampling experiments",
     )
@@ -439,7 +457,12 @@ def main(argv=None) -> int:
         for flag in keys:
             if flag.startswith("--"):
                 p.add_argument(flag, type=_KEYS[_key(flag)][1][2])
-    args, unknown = parser.parse_known_args(argv)
+    try:
+        args, unknown = parser.parse_known_args(argv)
+    except ConfigError as exc:
+        # flag text its type cannot convert, or a missing or unknown command
+        print(exc, file=sys.stderr)
+        return 2
     if unknown:
         print(f"{args.command}: unrecognized arguments: {' '.join(unknown)}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -251,6 +251,8 @@ class AdversarialFamily:
     kappa1: float
     kappa1_theoretical: float
     certificate: UnitBallCertificate
+    # grid_resolution -> read-only (offsets, profile at them); see _support
+    _supports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_centers(self) -> int:
@@ -273,6 +275,10 @@ class AdversarialFamily:
         return vartheta(spec, np.atleast_2d(offsets))
 
 
+# test offsets per support cube, and centers per family, at most
+_MAX_OFFSETS = 1 << 20
+
+
 def build_adversarial_family(
     m: int,
     d: int,
@@ -281,12 +287,23 @@ def build_adversarial_family(
     policy: GrowthPolicy,
     kappa1_override: float | None = None,
 ) -> AdversarialFamily:
-    """Construct the hardness family for sample budget m."""
+    """Construct the hardness family for sample budget m.
+
+    Its (2*ceil(m**(1/d)))**d centers are limited to _MAX_OFFSETS (2**20); a
+    larger family raises ValueError before anything is allocated."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if d < 1:
         raise ValueError("d must be >= 1")
-    per_axis = 2 * _int_root_ceil(m, d)
+    # two centers per axis at least: a d of 21 or more is rejected before
+    # the integer root raises anything to the power d
+    too_many = d >= _MAX_OFFSETS.bit_length()
+    per_axis = 2 if too_many else 2 * _int_root_ceil(m, d)
+    if too_many or per_axis**d > _MAX_OFFSETS:
+        raise ValueError(
+            f"m={m} in d={d} gives at least {per_axis}**{d} family centers, more "
+            f"than the limit of {_MAX_OFFSETS}"
+        )
     M = 2 * per_axis
     axis_centers = (2.0 * np.arange(1, per_axis + 1) - 1.0) / M
     mesh = np.meshgrid(*([axis_centers] * d), indexing="ij")
@@ -339,9 +356,6 @@ def count_unseen(family: AdversarialFamily, algorithm: SamplingAlgorithm) -> int
     return family.num_centers - int(np.count_nonzero(seen))
 
 
-_MAX_OFFSETS = 1 << 20
-
-
 def _support_offsets(family: AdversarialFamily, grid_resolution: int) -> np.ndarray:
     """Test offsets inside one support cube; row 0 is the center itself.
 
@@ -362,16 +376,31 @@ def _support_offsets(family: AdversarialFamily, grid_resolution: int) -> np.ndar
     return np.vstack([np.zeros((1, family.d)), interior])
 
 
+def _support(family: AdversarialFamily, grid_resolution: int):
+    """``_support_offsets`` and the profile at them, computed once per family
+    and grid_resolution and kept on the family as read-only arrays."""
+    found = family._supports.get(grid_resolution)
+    if found is None:
+        offsets = _support_offsets(family, grid_resolution)
+        found = (offsets, family.profile(offsets))
+        for array in found:
+            array.flags.writeable = False
+        family._supports[grid_resolution] = found
+    return found
+
+
 @dataclass(frozen=True)
 class AverageErrorResult:
     """Average of per-member sup-norm error estimates.
 
     ``average`` uses refined in-support grids; ``center_only`` uses only the
-    bump centers and therefore never overestimates the true average."""
+    bump centers and therefore never overestimates the true average.
+    ``unseen`` is ``count_unseen`` of the family and the algorithm."""
 
     average: float
     center_only: float
     per_member_max: float
+    unseen: int
 
 
 def average_error(
@@ -390,24 +419,30 @@ def average_error(
     through the stencil, at most ``max(_CHUNK_POINTS, G)`` test points per
     call, with G the number of test offsets per cell.  The stencil and
     generic paths agree to rounding, not bit for bit: one takes
-    ``amplitude * |theta - v|``, the other ``|amplitude*theta - amplitude*v|``."""
+    ``amplitude * |theta - v|``, the other ``|amplitude*theta - amplitude*v|``.
+
+    The unseen count comes with the error: the stencil path has already
+    located the samples and counts the cells without one; the generic path
+    calls ``count_unseen``.  The test offsets and the profile at them are
+    built once per family and grid_resolution (``_support``)."""
     if algorithm.d != family.d:
         raise ValueError("algorithm and family dimensions differ")
     use_stencil = method == "stencil" or (
         method == "auto" and algorithm.linear_stencil is not None
     )
-    offsets = _support_offsets(family, grid_resolution)
-    theta_off = family.profile(offsets)
+    offsets, theta_off = _support(family, grid_resolution)
     if use_stencil:
         if algorithm.linear_stencil is None:
             raise ValueError("algorithm has no linear stencil")
-        row_max, center = _average_error_stencil(family, algorithm, offsets, theta_off)
+        row_max, center, unseen = _average_error_stencil(family, algorithm, offsets, theta_off)
     else:
         row_max, center = _average_error_generic(family, algorithm, offsets, theta_off)
+        unseen = count_unseen(family, algorithm)
     return AverageErrorResult(
         average=float(row_max.mean()),
         center_only=float(center.mean()),
         per_member_max=float(row_max.max()),
+        unseen=unseen,
     )
 
 
@@ -418,14 +453,17 @@ _CHUNK_POINTS = 1 << 16
 def _average_error_stencil(family, algorithm, offsets, theta_off):
     """Vectorized path for linear, value-scaling-equivariant reconstructions.
 
-    Returns the per-center error maxima over the test offsets and the error
-    at each center.  The nu = +-1 errors coincide because the reconstruction
-    scales with the data, so one pass over centers covers all members.  The
-    stencil masks out samples outside the member's cell, so a cell without a
-    sample reconstructs to 0 and its row is ``amplitude * |theta_off|``; the
-    seen cells are evaluated in chunks of whole cells, at most
-    ``max(_CHUNK_POINTS, G)`` test points each, so memory is O(K + chunk).
-    A nearest-sample stencil is replaced by ``_nearest_in_seen_cells``."""
+    Returns the per-center error maxima over the test offsets, the error
+    at each center and the number of cells that hold no sample, K minus the
+    seen cells the samples were located in.  The nu = +-1 errors coincide
+    because the reconstruction scales with the data, so one pass over
+    centers covers all members.  The stencil masks out samples outside the
+    member's cell, so a cell without a sample reconstructs to 0 and its row
+    is ``amplitude * |theta_off|``; the seen cells are evaluated in chunks
+    of whole cells, at most ``max(_CHUNK_POINTS, G)`` test points each, so
+    memory is O(K + chunk).  A nearest-sample stencil is replaced by
+    ``_nearest_in_seen_cells``, whose chunks are groups of whole cells
+    holding at most _CHUNK_ENTRIES values of its planes."""
     ci, tv = _locate_samples(family, algorithm.points)
     K, G = family.num_centers, len(offsets)
     unseen_err = family.amplitude * np.abs(theta_off)
@@ -444,7 +482,7 @@ def _average_error_stencil(family, algorithm, offsets, theta_off):
         err = err.reshape(len(cells), G)
         row_max[cells] = err.max(axis=1)
         center[cells] = err[:, 0]
-    return row_max, center
+    return row_max, center, K - len(seen)
 
 
 def _test_points(family, cells, offsets):
@@ -471,14 +509,23 @@ def _nearest_in_seen_cells(family, stencil, ci, seen, offsets):
     of each sample).  No test point is farther from s than the box corner
     farthest from s, at distance ``reach``, so a sample farther than
     ``reach`` from the box is farther than s from every test point: the
-    candidates are the samples within ``reach`` of the box, sorted by index
-    so that argmin keeps the lowest index on a tie.  They are screened from
-    all samples or, when fewer cells than samples lie in the block of
-    (2*ceil(sqrt(d)) + 1)**d cells around the cell, from the samples
-    bucketed in that block (reach <= 2h*sqrt(d), so none outside it is a
-    candidate); so each cell costs the smaller of the two counts.
-    Their distances are added up as in the brute-force search, at most
-    _CHUNK_ENTRIES at a time (or one candidate row, if that is wider)."""
+    candidates are the samples within ``reach`` of the box, sorted by index.
+    They are screened from all samples or, when fewer cells than samples lie
+    in the block of (2*ceil(sqrt(d)) + 1)**d cells around the cell, from the
+    samples bucketed in that block (reach <= 2h*sqrt(d), so none outside it
+    is a candidate); so each cell costs the smaller of the two counts.
+
+    The distances are taken in planes, one candidate at a time.  For a group
+    of cells, axis a of their test points is one (cells, G) plane, the sum
+    ``centers[cells, a] + offsets[:, a]`` of ``_test_points``.  The squared
+    distances to each cell's j-th candidate are added up plane by plane
+    from axis 0, as in the brute-force search, and a running best takes a
+    candidate only when it is strictly closer, so the lowest index wins a
+    tie, as in argmin.  Cells are sorted widest first, so the j-th candidate
+    touches only the prefix of a group's rows that has one; every inner loop
+    runs over G test points.  A group's planes and work arrays hold at most
+    _CHUNK_ENTRIES values (a cell with more test points takes them in
+    slices)."""
     d, k, G = family.d, family.per_axis, len(offsets)
     points, shape, h = stencil.points, (k,) * d, 1.0 / family.M
     m = len(points)
@@ -499,6 +546,12 @@ def _nearest_in_seen_cells(family, stencil, ci, seen, offsets):
     # the factor keeps every sample that rounding could tie with s
     reach = (corner * corner).sum(axis=1) * (1 + 1e-9)
     step = max(1, _CHUNK_ENTRIES // max(G, len(block) if gather else m))
+    # a group's d planes and its best, dist, diff and nearest arrays hold
+    # at most _CHUNK_ENTRIES values; a cell with more test points than one
+    # array's share takes them in slices
+    share = max(1, _CHUNK_ENTRIES // (d + 4))
+    group = max(1, share // G)
+    work, flags = np.empty((d + 3, share)), np.empty(share, bool)
     for start in range(0, len(seen), step):
         cells = seen[start : start + step]
         n = len(cells)
@@ -520,36 +573,51 @@ def _nearest_in_seen_cells(family, stencil, ci, seen, offsets):
         keep = (gap * gap).sum(axis=1) <= reach[start : start + step][row]
         row, ids = row[keep], ids[keep]
         per = np.bincount(row, minlength=n)
-        # one row of candidates per cell, padded with its lowest id
+        # one row of candidates per cell, its first per[i] entries used
         lowest = np.cumsum(per) - per
-        cand = np.repeat(ids[lowest][:, None], per.max(), axis=1)
+        cand = np.zeros((n, per.max()), np.int64)
         cand[row, np.arange(len(ids)) - lowest[row]] = ids
-        # cells with the most candidates first, so that each group of rows
-        # is cut to the width of its first row
+        # cells with the most candidates first, so that the rows holding a
+        # j-th candidate are a prefix of each group
         order = np.argsort(-per, kind="stable")
-        s = 0
-        while s < n:
-            width = per[order[s]]
-            rows = order[s : s + max(1, _CHUNK_ENTRIES // (G * width))]
-            s += len(rows)
-            c = cand[rows, :width]
-            p = points[c]
+        for s in range(0, n, group):
+            rows = order[s : s + group]
+            width = per[rows]
             idx = np.empty((len(rows), G), np.int64)
-            # a cell with more than _CHUNK_ENTRIES distances takes its test
-            # points in slices
-            span = max(1, _CHUNK_ENTRIES // (len(rows) * width))
+            span = max(1, share // len(rows))
             for o in range(0, G, span):
-                q = _test_points(family, cells[rows], offsets[o : o + span])
-                # 0 + x == x for a square x, so starting from axis 0's term
-                # gives the brute-force search's sums
-                dist = np.subtract(q[:, :, 0, None], p[:, None, :, 0])
-                np.multiply(dist, dist, out=dist)
-                diff = np.empty_like(dist)
-                for a in range(1, d):
-                    np.subtract(q[:, :, a, None], p[:, None, :, a], out=diff)
-                    np.multiply(diff, diff, out=diff)
-                    dist += diff
-                idx[:, o : o + span] = np.take_along_axis(c, dist.argmin(axis=2), axis=1)
+                nearest = idx[:, o : o + span]
+                # planes[a, r, g]: axis a of test point g of cell rows[r]
+                planes, (best, dist, diff) = np.split(
+                    work[:, : nearest.size].reshape(-1, *nearest.shape), [d]
+                )
+                np.add(
+                    family.centers[cells[rows]].T[:, :, None],
+                    offsets[o : o + span].T[:, None, :],
+                    out=planes,
+                )
+                closer = flags[: nearest.size].reshape(nearest.shape)
+                for j in range(width[0]):
+                    live = int(np.count_nonzero(width > j))
+                    c = cand[rows[:live], j]
+                    p = points[c]
+                    # 0 + x == x for a square x, so starting from axis 0's
+                    # term gives the brute-force search's sums
+                    sq, tmp = (dist[:live] if j else best), diff[:live]
+                    np.subtract(planes[0, :live], p[:, 0, None], out=sq)
+                    np.multiply(sq, sq, out=sq)
+                    for a in range(1, d):
+                        np.subtract(planes[a, :live], p[:, a, None], out=tmp)
+                        np.multiply(tmp, tmp, out=tmp)
+                        sq += tmp
+                    if j == 0:
+                        nearest[:] = c[:, None]
+                        continue
+                    # strictly closer only: on a tie the earlier candidate,
+                    # the lower index, stays, as argmin keeps it
+                    np.less(sq, best[:live], out=closer[:live])
+                    np.copyto(best[:live], sq, where=closer[:live])
+                    np.copyto(nearest[:live], c[:, None], where=closer[:live])
             yield cells[rows], idx.reshape(-1, 1), np.ones((idx.size, 1))
 
 
@@ -732,15 +800,14 @@ def run_hardness_sweep(
         )
         algorithm = algorithm_factory(m)
         result = average_error(family, algorithm, grid_resolution=grid_resolution)
-        unseen = count_unseen(family, algorithm)
-        bound, measured_theoretical, ok = _bound_check(family, result.average, unseen)
+        bound, measured_theoretical, ok = _bound_check(family, result.average, result.unseen)
         return f"hardness-{algorithm.label}", {
             "m": m,
             "measured_avg_error": result.average,
             "measured_theoretical": measured_theoretical,
             "center_only": result.center_only,
             "lower_bound": bound,
-            "unseen_count": unseen,
+            "unseen_count": result.unseen,
             "amplitude": family.amplitude,
             "pass": ok,
         }
@@ -789,7 +856,7 @@ def run_mc_sweep(
             algorithm = mc.generator(rng)
             result = average_error(family, algorithm, grid_resolution=grid_resolution)
             errors.append(result.average)
-            unseen_counts.append(count_unseen(family, algorithm))
+            unseen_counts.append(result.unseen)
             sample_counts.append(algorithm.m)
         mean_error = float(np.mean(errors))
         mean_count = float(np.mean(sample_counts))

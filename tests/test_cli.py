@@ -430,6 +430,12 @@ class TestInvalidInput:
         "verify-hat-network-true": ["verify-hat"],
         "hardness-m-list-empty": ["hardness", "--m-list", ","],
         "rates-config-not-object": ["rates"],
+        "rates-d-flag-2.5": ["rates", "--d", "2.5"],
+        "rates-depth-cap-flag-abc": ["rates", "--depth-cap", "abc"],
+        "hardness-m-list-flag-4,x": ["hardness", "--m-list", "4,x"],
+        "hardness-family-above-cap": [
+            "hardness", "--d", "20", "--m-list", "4", "--grid-res", "2",
+        ],
     }
 
     # the --config file of a case, for keys that have no flag
@@ -524,6 +530,10 @@ class TestInvalidInput:
         "verify-hat-network-true": "network must be a path",
         "hardness-m-list-empty": "m_list must be non-empty",
         "rates-config-not-object": "config must be a JSON object",
+        "rates-d-flag-2.5": "argument --d: invalid int value: '2.5'",
+        "rates-depth-cap-flag-abc": "argument --depth-cap: invalid number value",
+        "hardness-m-list-flag-4,x": "argument --m-list: invalid integer list value",
+        "hardness-family-above-cap": "4**20 family centers",
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -542,6 +552,18 @@ class TestInvalidInput:
         for text in [captured.out, captured.err, *written]:
             for word in ("Traceback", "NaN", "Infinity"):
                 assert word not in text
+
+    @pytest.mark.parametrize("argv", [[], ["frob"]])
+    def test_missing_or_unknown_command_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("requ-gap: ") and "usage" not in captured.err
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["rates", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 0
 
     def test_single_m_sidecar_is_strict_json(self, tmp_path):
         out = tmp_path / "one.csv"

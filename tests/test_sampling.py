@@ -232,6 +232,41 @@ class TestNearestSample:
         assert alg.linear_stencil(np.array([[3.875 * w] * 2]))[0].tolist() == [[1]]
         _check_cell_search(fam, alg, 7)
 
+    @pytest.mark.parametrize("chunk", [1 << 16, 30])
+    @pytest.mark.parametrize("far", [0, 30])
+    def test_planar_search_narrow_and_wide_rows(self, chunk, far):
+        # M = 16, h = 1/16, grid resolution 3: test offsets 0 and +-1/32 per
+        # axis, G = 10.  Sample 0 at the center of cell (0, 0) is its only
+        # candidate; samples 1-4 lie 1/32 from the center c of cell (5, 5),
+        # and sample 5, on that cell's wall, is its fifth candidate.  At the
+        # test point c + (1/32, 1/32) samples 1, 2 and 5 tie exactly, and
+        # sample 1 must win.  The default chunk puts both cells in one group
+        # of rows; a chunk of 30 gives 5 values per array, so each cell takes
+        # its 10 test points in two slices.  Thirty far samples make the
+        # 5 x 5 block gathered.
+        fam = build_adversarial_family(16, 2, ALPHA, GAMMA, POLICY5)
+        c = fam.centers[5 * fam.per_axis + 5]
+        e = 1 / 32
+        near = [c + (e, 0), c + (0, e), c - (e, 0), c - (0, e), c + (2 * e, e)]
+        far_samples = [[i / 32, 0.95] for i in range(far)]
+        alg = _nearest_algorithm([[1 / 16, 1 / 16], *near, *far_samples])
+        assert alg.linear_stencil(np.array([c + (e, e)]))[0].tolist() == [[1]]
+        ci, _ = sampling._locate_samples(fam, alg.points)
+        seen = np.flatnonzero(np.bincount(ci[ci >= 0], minlength=fam.num_centers))
+        offsets = sampling._support_offsets(fam, 3)
+        with mock.patch.object(sampling, "_CHUNK_ENTRIES", chunk):
+            chunks = list(
+                sampling._nearest_in_seen_cells(fam, alg.linear_stencil, ci, seen, offsets)
+            )
+            _check_cell_search(fam, alg, 3)
+        for cells, idx, w in chunks:
+            assert idx.shape == w.shape == (len(cells) * len(offsets), 1)
+        groups = [set(cells.tolist()) for cells, _, _ in chunks]
+        if chunk == 1 << 16:
+            assert any({0, 5 * fam.per_axis + 5} <= g for g in groups)
+        else:
+            assert all(len(g) == 1 for g in groups)
+
 
 class TestAdversarialFamily:
     def test_geometry_square_budget(self):
@@ -279,6 +314,13 @@ class TestAdversarialFamily:
         )
         assert scaled.amplitude == pytest.approx(2.0 * base.amplitude)
         assert scaled.amplitude_theoretical == base.amplitude_theoretical
+
+    @pytest.mark.parametrize("m,d", [(4, 20), (2**20 + 1, 2), (2, 21), (2, 10**15)])
+    def test_rejects_more_centers_than_the_cap(self, m, d):
+        # 4**20 and 2050**2 centers exceed 2**20; so does any d above 20,
+        # rejected before the integer root raises anything to the power d
+        with pytest.raises(ValueError, match="family centers"):
+            build_adversarial_family(m, d, ALPHA, GAMMA, POLICY5)
 
     def test_rejects_bad_nu(self):
         fam = build_adversarial_family(4, 1, ALPHA, GAMMA, POLICY5)
@@ -359,6 +401,27 @@ class TestAverageError:
             assert fast.average == slow.average
             assert fast.center_only == slow.center_only
             assert fast.per_member_max == slow.per_member_max
+
+    def test_unseen_count_comes_with_the_error(self):
+        fam = build_adversarial_family(64, 2, ALPHA, GAMMA, POLICY5)
+        algorithms = (
+            grid_algorithm(64, 2, "multilinear"),
+            uniform_random_algorithm(64, 2, seed=7),
+            zero_algorithm(64, 2),
+        )
+        for alg in algorithms:
+            for method in ("stencil", "generic"):
+                result = average_error(fam, alg, 3, method=method)
+                assert result.unseen == count_unseen(fam, alg), (alg.label, method)
+
+    def test_support_grid_is_built_once_per_family(self):
+        fam = build_adversarial_family(16, 2, ALPHA, GAMMA, POLICY5)
+        offsets, theta = sampling._support(fam, 5)
+        assert sampling._support(fam, 5)[0] is offsets
+        assert sampling._support(fam, 7)[0] is not offsets
+        assert np.array_equal(offsets, sampling._support_offsets(fam, 5))
+        assert np.array_equal(theta, fam.profile(offsets))
+        assert not offsets.flags.writeable and not theta.flags.writeable
 
     def test_paths_differ_only_by_rounding(self):
         # the stencil path takes amplitude * |theta - v|, the generic path
