@@ -152,7 +152,8 @@ def grid_algorithm(m: int, d: int, reconstruction: str = "nearest") -> SamplingA
     )
 
 
-# squared distances held at once by the nearest-sample searches
+# values held at once by the nearest-sample searches: squared distances,
+# or the planes and work arrays of _nearest_in_seen_cells
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -523,9 +524,9 @@ def _nearest_in_seen_cells(family, stencil, ci, seen, offsets):
     candidate only when it is strictly closer, so the lowest index wins a
     tie, as in argmin.  Cells are sorted widest first, so the j-th candidate
     touches only the prefix of a group's rows that has one; every inner loop
-    runs over G test points.  A group's planes and work arrays hold at most
-    _CHUNK_ENTRIES values (a cell with more test points takes them in
-    slices)."""
+    runs over G test points.  A group of cells holds at most _CHUNK_ENTRIES
+    values in its planes and work arrays; a lone cell with more than
+    _CHUNK_ENTRIES test points takes them in slices."""
     d, k, G = family.d, family.per_axis, len(offsets)
     points, shape, h = stencil.points, (k,) * d, 1.0 / family.M
     m = len(points)
@@ -546,12 +547,14 @@ def _nearest_in_seen_cells(family, stencil, ci, seen, offsets):
     # the factor keeps every sample that rounding could tie with s
     reach = (corner * corner).sum(axis=1) * (1 + 1e-9)
     step = max(1, _CHUNK_ENTRIES // max(G, len(block) if gather else m))
-    # a group's d planes and its best, dist, diff and nearest arrays hold
-    # at most _CHUNK_ENTRIES values; a cell with more test points than one
-    # array's share takes them in slices
+    # a group of cells holds at most _CHUNK_ENTRIES values in its d planes
+    # and its best, dist, diff and nearest arrays, so that they stay in
+    # cache; a lone cell holds at most _CHUNK_ENTRIES test points in each
+    # and takes more in slices
     share = max(1, _CHUNK_ENTRIES // (d + 4))
     group = max(1, share // G)
-    work, flags = np.empty((d + 3, share)), np.empty(share, bool)
+    size = max(share, min(G, _CHUNK_ENTRIES))
+    work, flags = np.empty((d + 3, size)), np.empty(size, bool)
     for start in range(0, len(seen), step):
         cells = seen[start : start + step]
         n = len(cells)
@@ -583,8 +586,12 @@ def _nearest_in_seen_cells(family, stencil, ci, seen, offsets):
         for s in range(0, n, group):
             rows = order[s : s + group]
             width = per[rows]
+            # live[j]: how many rows, a prefix, have a j-th candidate
+            live = np.searchsorted(-width, -np.arange(width[0]), side="left")
+            c_all = cand[rows]
+            p_all = points[c_all]
             idx = np.empty((len(rows), G), np.int64)
-            span = max(1, share // len(rows))
+            span = max(1, _CHUNK_ENTRIES // len(rows))
             for o in range(0, G, span):
                 nearest = idx[:, o : o + span]
                 # planes[a, r, g]: axis a of test point g of cell rows[r]
@@ -597,17 +604,15 @@ def _nearest_in_seen_cells(family, stencil, ci, seen, offsets):
                     out=planes,
                 )
                 closer = flags[: nearest.size].reshape(nearest.shape)
-                for j in range(width[0]):
-                    live = int(np.count_nonzero(width > j))
-                    c = cand[rows[:live], j]
-                    p = points[c]
+                for j, head in enumerate(live):
+                    c, p = c_all[:head, j], p_all[:head, j]
                     # 0 + x == x for a square x, so starting from axis 0's
                     # term gives the brute-force search's sums
-                    sq, tmp = (dist[:live] if j else best), diff[:live]
-                    np.subtract(planes[0, :live], p[:, 0, None], out=sq)
+                    sq, tmp = (dist[:head] if j else best), diff[:head]
+                    np.subtract(planes[0, :head], p[:, 0, None], out=sq)
                     np.multiply(sq, sq, out=sq)
                     for a in range(1, d):
-                        np.subtract(planes[a, :live], p[:, a, None], out=tmp)
+                        np.subtract(planes[a, :head], p[:, a, None], out=tmp)
                         np.multiply(tmp, tmp, out=tmp)
                         sq += tmp
                     if j == 0:
@@ -615,9 +620,9 @@ def _nearest_in_seen_cells(family, stencil, ci, seen, offsets):
                         continue
                     # strictly closer only: on a tie the earlier candidate,
                     # the lower index, stays, as argmin keeps it
-                    np.less(sq, best[:live], out=closer[:live])
-                    np.copyto(best[:live], sq, where=closer[:live])
-                    np.copyto(nearest[:live], c[:, None], where=closer[:live])
+                    np.less(sq, best[:head], out=closer[:head])
+                    np.copyto(best[:head], sq, where=closer[:head])
+                    np.copyto(nearest[:head], c[:, None], where=closer[:head])
             yield cells[rows], idx.reshape(-1, 1), np.ones((idx.size, 1))
 
 

@@ -232,7 +232,7 @@ class TestNearestSample:
         assert alg.linear_stencil(np.array([[3.875 * w] * 2]))[0].tolist() == [[1]]
         _check_cell_search(fam, alg, 7)
 
-    @pytest.mark.parametrize("chunk", [1 << 16, 30])
+    @pytest.mark.parametrize("chunk", [1 << 16, 5])
     @pytest.mark.parametrize("far", [0, 30])
     def test_planar_search_narrow_and_wide_rows(self, chunk, far):
         # M = 16, h = 1/16, grid resolution 3: test offsets 0 and +-1/32 per
@@ -241,9 +241,8 @@ class TestNearestSample:
         # and sample 5, on that cell's wall, is its fifth candidate.  At the
         # test point c + (1/32, 1/32) samples 1, 2 and 5 tie exactly, and
         # sample 1 must win.  The default chunk puts both cells in one group
-        # of rows; a chunk of 30 gives 5 values per array, so each cell takes
-        # its 10 test points in two slices.  Thirty far samples make the
-        # 5 x 5 block gathered.
+        # of rows; a chunk of 5 takes one cell at a time, its 10 test points
+        # in two slices.  Thirty far samples make the 5 x 5 block gathered.
         fam = build_adversarial_family(16, 2, ALPHA, GAMMA, POLICY5)
         c = fam.centers[5 * fam.per_axis + 5]
         e = 1 / 32
