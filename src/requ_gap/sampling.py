@@ -463,8 +463,7 @@ def _average_error_stencil(family, algorithm, offsets, theta_off):
     is ``amplitude * |theta_off|``; the seen cells are evaluated in chunks
     of whole cells, at most ``max(_CHUNK_POINTS, G)`` test points each, so
     memory is O(K + chunk).  A nearest-sample stencil is replaced by
-    ``_nearest_in_seen_cells``, whose chunks are groups of whole cells
-    holding at most _CHUNK_ENTRIES values of its planes."""
+    ``_nearest_in_seen_cells``, whose chunks are groups of whole cells."""
     ci, tv = _locate_samples(family, algorithm.points)
     K, G = family.num_centers, len(offsets)
     unseen_err = family.amplitude * np.abs(theta_off)
@@ -524,9 +523,7 @@ def _nearest_in_seen_cells(family, stencil, ci, seen, offsets):
     candidate only when it is strictly closer, so the lowest index wins a
     tie, as in argmin.  Cells are sorted widest first, so the j-th candidate
     touches only the prefix of a group's rows that has one; every inner loop
-    runs over G test points.  A group of cells holds at most _CHUNK_ENTRIES
-    values in its planes and work arrays; a lone cell with more than
-    _CHUNK_ENTRIES test points takes them in slices."""
+    runs over G test points."""
     d, k, G = family.d, family.per_axis, len(offsets)
     points, shape, h = stencil.points, (k,) * d, 1.0 / family.M
     m = len(points)
