@@ -152,9 +152,9 @@ def grid_algorithm(m: int, d: int, reconstruction: str = "nearest") -> SamplingA
     )
 
 
-# values held at once by the nearest-sample searches: squared distances,
-# or the planes and work arrays of _nearest_in_seen_cells
-_CHUNK_ENTRIES = 1 << 16
+# values per array of a nearest-sample step (distances, or a chunk's test
+# points), small so that a chunk's few arrays add little to peak memory
+_CHUNK_ENTRIES = 1 << 14
 
 
 class _NearestSample:
@@ -416,16 +416,15 @@ def average_error(
     plus its center; restricting to the support underestimates the true sup
     and keeps the hardness comparison one-sided.  On the stencil path a cell
     that holds no sample reconstructs to exactly 0, so its error is
-    ``amplitude * |theta(offset)|`` in closed form; only the seen cells go
-    through the stencil, at most ``max(_CHUNK_POINTS, G)`` test points per
-    call, with G the number of test offsets per cell.  The stencil and
-    generic paths agree to rounding, not bit for bit: one takes
+    ``amplitude * |theta(offset)|`` in closed form, and only the seen cells
+    are evaluated.  A nearest-sample stencil is not called there: a cell's
+    candidates pass a bisector test against its own sample, and their
+    distances are per-axis terms added in the stencil's order, so every
+    index and error bit is the stencil's (``_nearest_in_seen_cells``).  The
+    stencil and generic paths agree to rounding, not bit for bit: one takes
     ``amplitude * |theta - v|``, the other ``|amplitude*theta - amplitude*v|``.
-
-    The unseen count comes with the error: the stencil path has already
-    located the samples and counts the cells without one; the generic path
-    calls ``count_unseen``.  The test offsets and the profile at them are
-    built once per family and grid_resolution (``_support``)."""
+    The unseen count comes with the error; the test grid and the profile on
+    it are built once per family (``_support``)."""
     if algorithm.d != family.d:
         raise ValueError("algorithm and family dimensions differ")
     use_stencil = method == "stencil" or (
@@ -452,18 +451,12 @@ _CHUNK_POINTS = 1 << 16
 
 
 def _average_error_stencil(family, algorithm, offsets, theta_off):
-    """Vectorized path for linear, value-scaling-equivariant reconstructions.
-
-    Returns the per-center error maxima over the test offsets, the error
-    at each center and the number of cells that hold no sample, K minus the
-    seen cells the samples were located in.  The nu = +-1 errors coincide
-    because the reconstruction scales with the data, so one pass over
-    centers covers all members.  The stencil masks out samples outside the
-    member's cell, so a cell without a sample reconstructs to 0 and its row
-    is ``amplitude * |theta_off|``; the seen cells are evaluated in chunks
-    of whole cells, at most ``max(_CHUNK_POINTS, G)`` test points each, so
-    memory is O(K + chunk).  A nearest-sample stencil is replaced by
-    ``_nearest_in_seen_cells``, whose chunks are groups of whole cells."""
+    """Vectorized path for linear, value-scaling-equivariant reconstructions:
+    per center the error maximum over the test offsets and the error at the
+    center, and the number of cells without a sample.  The nu = +-1 errors
+    coincide, as the reconstruction scales with the data.  Samples outside a
+    member's cell are masked out, so a cell without one reconstructs to 0;
+    the seen cells come in chunks of whole cells (memory O(K + chunk))."""
     ci, tv = _locate_samples(family, algorithm.points)
     K, G = family.num_centers, len(offsets)
     unseen_err = family.amplitude * np.abs(theta_off)
@@ -471,15 +464,23 @@ def _average_error_stencil(family, algorithm, offsets, theta_off):
     center = np.full(K, unseen_err[0])
     seen = np.flatnonzero(np.bincount(ci[ci >= 0], minlength=K))
     stencil = algorithm.linear_stencil
-    if isinstance(stencil, _NearestSample):
+    nearest = isinstance(stencil, _NearestSample)
+    if nearest:
         chunks = _nearest_in_seen_cells(family, stencil, ci, seen, offsets)
     else:
         chunks = _stencil_in_seen_cells(family, stencil, seen, offsets)
     for cells, idx, w in chunks:
-        mask = ci[idx] == np.repeat(cells, G)[:, None]
-        recon = (w * tv[idx] * mask).sum(axis=1)
-        err = family.amplitude * np.abs(np.tile(theta_off, len(cells)) - recon)
-        err = err.reshape(len(cells), G)
+        if nearest:
+            # one sample per test point, weight 1: the sum below is its
+            # value when it lies in the cell, else 0
+            idx = idx.reshape(len(cells), G)
+            err = family.amplitude * np.abs(theta_off - tv[idx])
+            err = np.where(ci[idx] == cells[:, None], err, unseen_err)
+        else:
+            mask = ci[idx] == np.repeat(cells, G)[:, None]
+            recon = (w * tv[idx] * mask).sum(axis=1)
+            err = family.amplitude * np.abs(np.tile(theta_off, len(cells)) - recon)
+            err = err.reshape(len(cells), G)
         row_max[cells] = err.max(axis=1)
         center[cells] = err[:, 0]
     return row_max, center, K - len(seen)
@@ -502,125 +503,124 @@ def _stencil_in_seen_cells(family, stencil, seen, offsets):
 
 def _nearest_in_seen_cells(family, stencil, ci, seen, offsets):
     """What ``_stencil_in_seen_cells`` yields for a nearest-sample stencil,
-    from a few candidate samples per cell.
+    index for index, from a few candidate samples per cell.
 
-    A cell's test points lie inside its box (half-width h = 1/M around its
-    center), and so does a sample s of a seen cell (``ci`` gives the cell
-    of each sample).  No test point is farther from s than the box corner
-    farthest from s, at distance ``reach``, so a sample farther than
-    ``reach`` from the box is farther than s from every test point: the
-    candidates are the samples within ``reach`` of the box, sorted by index.
-    They are screened from all samples or, when fewer cells than samples lie
-    in the block of (2*ceil(sqrt(d)) + 1)**d cells around the cell, from the
-    samples bucketed in that block (reach <= 2h*sqrt(d), so none outside it
-    is a candidate); so each cell costs the smaller of the two counts.
+    The bisector test (``_candidates``).  For s a sample in the cell and c
+    another, ``|x-c|**2 - |x-s|**2`` is affine in x, so over the box of the
+    test points (the offsets' half-widths around the center, rounded like
+    them) it is least at a corner: per axis, at the face where its term is
+    less.  c is a candidate when that least value is at most 1e-9 d h**2
+    (h = 1/M).  One that fails loses to s at every test point, in floating
+    point too: near a tie both distances are below 4 d h**2, and their
+    rounding is far below the slack.  A cell left with s takes it everywhere.
 
-    The distances are taken in planes, one candidate at a time.  For a group
-    of cells, axis a of their test points is one (cells, G) plane, the sum
-    ``centers[cells, a] + offsets[:, a]`` of ``_test_points``.  The squared
-    distances to each cell's j-th candidate are added up plane by plane
-    from axis 0, as in the brute-force search, and a running best takes a
-    candidate only when it is strictly closer, so the lowest index wins a
-    tie, as in argmin.  Cells are sorted widest first, so the j-th candidate
-    touches only the prefix of a group's rows that has one; every inner loop
-    runs over G test points."""
-    d, k, G = family.d, family.per_axis, len(offsets)
-    points, shape, h = stencil.points, (k,) * d, 1.0 / family.M
-    m = len(points)
+    Separable distances.  Row 0 of ``offsets`` is the center, the rest the
+    product lattice of R values per axis in C order, so axis a of a test
+    point (``centers[cell, a] + offset``) takes R values.  Each candidate's
+    squared terms are taken per axis, (candidates, R), and added from axis
+    0 by broadcasting into the lattice: every sum is ((t0 + t1) + t2) ...,
+    the brute-force order (from 0, and 0 + t0 == t0), so the distances are
+    its bits.  The j-th candidates of a chunk's cells, widest first, are
+    compared at once; one replaces the best only when strictly closer, so
+    the lowest index wins a tie, as in argmin."""
+    d, G, points = family.d, len(offsets), stencil.points
+    R = _int_root_floor(G - 1, d)
+    values = np.append(offsets[1 : R + 1, d - 1], 0.0)  # every axis's, then the center's
+    coords = np.ascontiguousarray(points.T)
+    # slices of at most _CHUNK_ENTRIES test points: (values on the leading
+    # axes, range on the next, first column)
+    lead = next(a for a in range(d) if a == d - 1 or R ** (d - 1 - a) <= _CHUNK_ENTRIES)
+    tail = R ** (d - 1 - lead)
+    piece = max(1, min(R, _CHUNK_ENTRIES // tail))
+    blocks = [(np.unravel_index(u, (R,) * lead), o, min(o + piece, R), 1 + (u * R + o) * tail)
+              for u in range(R**lead) for o in range(0, R, piece)]
+    for cells, row, ids in _candidates(family, coords, ci, seen, offsets):
+        per = np.bincount(row, minlength=len(cells))
+        # one row of candidates per cell, its first per[i] entries used
+        cand = np.zeros((len(per), per.max()), np.int64)
+        cand[row, np.arange(len(ids)) - (np.cumsum(per) - per)[row]] = ids
+        # the cells with the most candidates first, so that those with a
+        # j-th one are a prefix; cells with one come last and take it
+        order = np.argsort(-per, kind="stable")
+        cells, per, cand = cells[order], per[order], cand[order]
+        top = cand[: np.count_nonzero(per > 1)]
+        idx = np.empty((len(per), G), np.int64)
+        idx[len(top) :] = cand[len(top) :, :1]
+        if len(top):
+            found = idx[: len(top)]
+            # the candidates rank by rank: the j-th of each row that has one
+            ranked = np.arange(per[0])[:, None] < per[: len(top)]
+            live = np.count_nonzero(ranked, axis=1)
+            ids = top.T[ranked]
+            # terms[a, i, v]: axis a's squared term of candidate i at value v
+            terms = family.centers[cells[ranked.nonzero()[1]]].T[:, :, None] + values
+            terms -= coords[:, ids, None]
+            terms *= terms
+            table = np.full(ranked.shape, np.inf)
+            table[ranked] = sum(terms[:, :, R])
+            found[:, 0] = np.take_along_axis(top, table.argmin(axis=0)[:, None], 1)[:, 0]
+            for fixed, lo, hi, col in blocks:
+                for b, head in zip(np.cumsum(live) - live, live):
+                    t, c = terms[:, b : b + head], ids[b : b + head, None]
+                    dist = sum(t[a, :, v, None] for a, v in enumerate(fixed)) + t[lead, :, lo:hi]
+                    for a in range(lead + 1, d):
+                        dist = (dist[:, :, None] + t[a, :, None, :R]).reshape(head, -1)
+                    nearest = found[:head, col : col + dist.shape[1]]
+                    if b == 0:
+                        best, nearest[:] = dist, c
+                        continue
+                    closer = dist < best[:head]
+                    np.minimum(best[:head], dist, out=best[:head])
+                    np.copyto(nearest, c, where=closer)
+        yield cells, idx.reshape(-1, 1), np.broadcast_to(1.0, (idx.size, 1))
+
+
+def _candidates(family, coords, ci, seen, offsets):
+    """The seen cells in chunks of at most max(G, _CHUNK_ENTRIES) test
+    points, with the samples (coords, axis by axis) that pass the bisector
+    test of ``_nearest_in_seen_cells``: each one's row in the chunk and
+    index, by row and index.  A candidate lies within sqrt(d) cells of the
+    box, so they are screened from all samples or, when fewer cells than
+    samples lie in the (2*ceil(sqrt(d)) + 1)**d cells around the cell, from
+    those bucketed there, on the grid of cells padded by ceil(sqrt(d)) on
+    each side, where a cell's block is its flat index plus fixed offsets."""
+    (d, m), k = coords.shape, family.per_axis
     r = math.isqrt(d - 1) + 1  # ceil(sqrt(d))
     gather = (2 * r + 1) ** d < m
     if gather:
-        axis = np.arange(-r, r + 1)
-        block = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-        cell_of = np.clip(np.floor(points * k), 0, k - 1).astype(np.int64)
-        bucket = np.ravel_multi_index(cell_of.T, shape)
-        count = np.bincount(bucket, minlength=k**d)
+        stride = (k + 2 * r) ** np.arange(d - 1, -1, -1)
+        bucket = stride @ (np.clip(np.floor(coords * k), 0, k - 1).astype(np.int64) + r)
+        count = np.bincount(bucket, minlength=(k + 2 * r) ** d)
         first = np.cumsum(count) - count
         by_bucket = np.argsort(bucket, kind="stable")
-    owner = np.empty(family.num_centers, np.int64)
-    inside = np.flatnonzero(ci >= 0)
-    owner[ci[inside]] = inside
-    corner = np.abs(points[owner[seen]] - family.centers[seen]) + h
-    # the factor keeps every sample that rounding could tie with s
-    reach = (corner * corner).sum(axis=1) * (1 + 1e-9)
-    step = max(1, _CHUNK_ENTRIES // max(G, len(block) if gather else m))
-    # a group of cells holds at most _CHUNK_ENTRIES values in its d planes
-    # and its best, dist, diff and nearest arrays, so that they stay in
-    # cache; a lone cell holds at most _CHUNK_ENTRIES test points in each
-    # and takes more in slices
-    share = max(1, _CHUNK_ENTRIES // (d + 4))
-    group = max(1, share // G)
-    size = max(share, min(G, _CHUNK_ENTRIES))
-    work, flags = np.empty((d + 3, size)), np.empty(size, bool)
+        block = stride @ (np.indices((2 * r + 1,) * d).reshape(d, -1) - r)
+        home = stride @ (np.stack(np.unravel_index(seen, (k,) * d)) + r)
+    # the first sample s in each seen cell (after -1, the sorted cells)
+    own = np.unique(ci, return_index=True)[1][-len(seen) :]
+    # per axis and seen cell: the faces of the box, then s's squared terms there
+    half = np.abs(offsets).max(axis=0)[:, None]
+    faces = family.centers[seen].T + np.stack([-half, half])
+    faces = np.concatenate([faces, (faces - coords[:, own]) ** 2])
+    step = max(1, _CHUNK_ENTRIES // max(len(offsets), min((2 * r + 1) ** d, m)))
     for start in range(0, len(seen), step):
         cells = seen[start : start + step]
         n = len(cells)
         if gather:
-            near = np.stack(np.unravel_index(cells, shape), axis=1)[:, None, :] + block
-            within = ((near >= 0) & (near < k)).all(axis=2)
-            near = np.ravel_multi_index(np.moveaxis(np.clip(near, 0, k - 1), -1, 0), shape)
-            runs = np.where(within, count[near], 0).ravel()
+            near = (home[start : start + step, None] + block).ravel()
+            runs = count[near]
             # the ids in each block bucket, bucket after bucket, cell after cell
             ends = np.cumsum(runs)
-            ids = by_bucket[np.repeat(first[near.ravel()] - (ends - runs), runs) + np.arange(ends[-1])]
-            row = np.repeat(np.arange(n), runs.reshape(n, -1).sum(axis=1))
-            ids = np.sort(row * m + ids) - row * m
+            ids = by_bucket[np.repeat(first[near] - (ends - runs), runs) + np.arange(ends[-1])]
+            runs = runs.reshape(n, -1).sum(axis=1)
         else:
-            row, ids = np.repeat(np.arange(n), m), np.tile(np.arange(m), n)
-        # keep the samples within reach of their cell's box
-        gap = np.abs(points[ids] - family.centers[cells[row]]) - h
-        np.maximum(gap, 0.0, out=gap)
-        keep = (gap * gap).sum(axis=1) <= reach[start : start + step][row]
-        row, ids = row[keep], ids[keep]
-        per = np.bincount(row, minlength=n)
-        # one row of candidates per cell, its first per[i] entries used
-        lowest = np.cumsum(per) - per
-        cand = np.zeros((n, per.max()), np.int64)
-        cand[row, np.arange(len(ids)) - lowest[row]] = ids
-        # cells with the most candidates first, so that the rows holding a
-        # j-th candidate are a prefix of each group
-        order = np.argsort(-per, kind="stable")
-        for s in range(0, n, group):
-            rows = order[s : s + group]
-            width = per[rows]
-            # live[j]: how many rows, a prefix, have a j-th candidate
-            live = np.searchsorted(-width, -np.arange(width[0]), side="left")
-            c_all = cand[rows]
-            p_all = points[c_all]
-            idx = np.empty((len(rows), G), np.int64)
-            span = max(1, _CHUNK_ENTRIES // len(rows))
-            for o in range(0, G, span):
-                nearest = idx[:, o : o + span]
-                # planes[a, r, g]: axis a of test point g of cell rows[r]
-                planes, (best, dist, diff) = np.split(
-                    work[:, : nearest.size].reshape(-1, *nearest.shape), [d]
-                )
-                np.add(
-                    family.centers[cells[rows]].T[:, :, None],
-                    offsets[o : o + span].T[:, None, :],
-                    out=planes,
-                )
-                closer = flags[: nearest.size].reshape(nearest.shape)
-                for j, head in enumerate(live):
-                    c, p = c_all[:head, j], p_all[:head, j]
-                    # 0 + x == x for a square x, so starting from axis 0's
-                    # term gives the brute-force search's sums
-                    sq, tmp = (dist[:head] if j else best), diff[:head]
-                    np.subtract(planes[0, :head], p[:, 0, None], out=sq)
-                    np.multiply(sq, sq, out=sq)
-                    for a in range(1, d):
-                        np.subtract(planes[a, :head], p[:, a, None], out=tmp)
-                        np.multiply(tmp, tmp, out=tmp)
-                        sq += tmp
-                    if j == 0:
-                        nearest[:] = c[:, None]
-                        continue
-                    # strictly closer only: on a tie the earlier candidate,
-                    # the lower index, stays, as argmin keeps it
-                    np.less(sq, best[:head], out=closer[:head])
-                    np.copyto(best[:head], sq, where=closer[:head])
-                    np.copyto(nearest[:head], c[:, None], where=closer[:head])
-            yield cells[rows], idx.reshape(-1, 1), np.ones((idx.size, 1))
+            ids, runs = np.tile(np.arange(m), n), np.full(n, m)
+        gap = np.repeat(faces[:, :, start : start + step], runs, axis=2)
+        gap[:2] -= coords[:, ids]
+        gap[:2] *= gap[:2]
+        gap[:2] -= gap[2:]
+        keep = np.minimum(gap[0], gap[1]).sum(axis=0) <= 1e-9 * d / family.M**2
+        row, ids = np.repeat(np.arange(n), runs)[keep], ids[keep]
+        yield cells, row, np.sort(row * m + ids) - row * m
 
 
 def _average_error_generic(family, algorithm, offsets, theta_off):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -266,6 +267,38 @@ class TestNearestSample:
         else:
             assert all(len(g) == 1 for g in groups)
 
+    @pytest.mark.parametrize("far", [0, 30])
+    def test_bisector_test_keeps_a_corner_tie_and_drops_a_loser(self, far):
+        # M = 16, grid resolution 3: test offsets 0 and +-1/32 per axis, so
+        # the box of test points has corners c +- (1/32, 1/32) around the
+        # center c of cell (5, 5).  s (index 2) sits at c; t (index 0), at
+        # c + (1/16, 1/16) on the cell's corner, is exactly as far as s from
+        # the corner test point c + (1/32, 1/32) and farther from the others;
+        # u (index 1), 1/64 beyond t, loses to s at every corner.  t must
+        # stay a candidate and win its tie; u must be dropped.  Thirty far
+        # samples make the 5 x 5 block gathered.
+        fam = build_adversarial_family(16, 2, ALPHA, GAMMA, POLICY5)
+        cell = 5 * fam.per_axis + 5
+        c, e = fam.centers[cell], 1 / 32
+        t, u = c + 2 * e, c + (2.5 * e, 2 * e)
+        alg = _nearest_algorithm([t, u, c, *([i / 32, 0.95] for i in range(far))])
+        x = c + e
+        assert ((x - t) ** 2).sum() == ((x - c) ** 2).sum()
+        assert alg.linear_stencil(x[None, :])[0].tolist() == [[0]]
+        ci, _ = sampling._locate_samples(fam, alg.points)
+        assert ci[:3].tolist() == [-1, -1, cell]
+        seen = np.flatnonzero(np.bincount(ci[ci >= 0], minlength=fam.num_centers))
+        offsets = sampling._support_offsets(fam, 3)
+        coords = np.ascontiguousarray(alg.points.T)
+        candidates = {
+            k: ids[row == i].tolist()
+            for cells, row, ids in sampling._candidates(fam, coords, ci, seen, offsets)
+            for i, k in enumerate(cells.tolist())
+        }
+        assert candidates[cell] == [0, 2]
+        # every test point, the tie included, gets the brute-force answer
+        _check_cell_search(fam, alg, 3)
+
 
 class TestAdversarialFamily:
     def test_geometry_square_budget(self):
@@ -455,6 +488,21 @@ class TestAverageError:
         assert len(calls) > 1
         assert max(calls) <= max(sampling._CHUNK_POINTS, G)
         assert res == average_error(fam, alg, grid_resolution=9)
+
+    def test_peak_memory_of_a_large_grid_stays_bounded(self):
+        # grid resolution 600 in d = 2: G = 360,001 test points per cell,
+        # more than _CHUNK_ENTRIES, so the nearest-sample search takes each
+        # seen cell's lattice in slices; about 17 MB are allocated at once
+        fam = build_adversarial_family(16, 2, ALPHA, GAMMA, POLICY5)
+        alg = uniform_random_algorithm(16, 2, seed=0)
+        sampling._support(fam, 600)
+        tracemalloc.start()
+        try:
+            average_error(fam, alg, 600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_dimension_mismatch(self):
         fam = build_adversarial_family(4, 2, ALPHA, GAMMA, POLICY5)
