@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .hats import (
+    _MAX_MIDDLE_ROWS,
     BumpSpec,
     HatBuildParams,
     build_hat,
@@ -67,6 +68,8 @@ class _Parser(argparse.ArgumentParser):
 
 # points or samples a command evaluates, at most
 _MAX_POINTS = 1 << 20
+# coordinates in one batch of points or samples (their count times d), at most
+_MAX_COORDS = 1 << 23
 # any other integer, at most: every integer up to it is exact in float64
 _MAX_INT = 1 << 53
 
@@ -251,6 +254,17 @@ def _finite_or_none(x: float) -> float | None:
 
 
 def _hat_params(cfg) -> HatBuildParams:
+    # d is bounded before anything of its size is allocated: by the batch of
+    # points (or samples) the command evaluates and, where the hat is
+    # materialized, by its middle layer of at least 3 d rows
+    batch = "samples" if "samples" in cfg else "points"
+    high = _MAX_COORDS // cfg[batch]
+    if batch == "points":
+        high = min(high, _MAX_MIDDLE_ROWS // 3)
+    if cfg["d"] > high:
+        raise ConfigError(
+            f"d must be an integer in [1, {high}] with {batch}={cfg[batch]}, got {cfg['d']}"
+        )
     policy = _policy_from(cfg)
     C = choose_amplitude_base(policy, cfg["n"]) if cfg["C"] is None else cfg["C"]
     y = [0.5] * cfg["d"] if cfg["y"] is None else cfg["y"]

@@ -191,6 +191,12 @@ class TestRates:
         doc = json.loads(capsys.readouterr().out)
         assert doc["gamma_flat"] is None and doc["gamma_sharp"] is None
 
+    def test_any_dimension_runs(self, capsys):
+        # rates reads d only as a number; the hat commands' bound on d
+        # (TestInvalidInput) does not apply
+        assert run(["rates", "--d", "1000000000"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["d"] == 1_000_000_000
+
 
 class TestLipschitz:
     def test_bound_dominates_empirical(self, capsys):
@@ -265,6 +271,14 @@ class TestSweepCommands:
         "mc-hardness-d2": (
             ["mc-hardness", "--d", "2", "--m-list", "16,64,256,1024", "--seed", "0"],
             "e9145dbcc18174bb8acf6db9045f821ee743e6af8b26bf77e4c96abfc9ecd882",
+        ),
+        "mc-hardness-d2-seed-1": (
+            ["mc-hardness", "--d", "2", "--m-list", "16,64,256,1024", "--seed", "1"],
+            "b80eae2d878ffb728bd515410ff4ebca3534e05d13a7d2ae197bee07d342324d",
+        ),
+        "mc-hardness-d3-to-1024": (
+            ["mc-hardness", "--d", "3", "--m-list", "16,64,256,1024"],
+            "99131245e9ff37fe9abcf774d9cbf690e7eb9399c873308df57813149e5f4f30",
         ),
         "mc-hardness-d3": (
             ["mc-hardness", "--d", "3", "--m-list", "16,64"],
@@ -436,6 +450,12 @@ class TestInvalidInput:
         "hardness-family-above-cap": [
             "hardness", "--d", "20", "--m-list", "4", "--grid-res", "2",
         ],
+        "build-hat-d-2000000": ["build-hat", "--n", "1", "--d", "2000000"],
+        "verify-hat-d-2000000": ["verify-hat", "--n", "1", "--d", "2000000"],
+        "lipschitz-d-2000000": ["lipschitz", "--n", "1", "--d", "2000000"],
+        "build-hat-d-1e9": ["build-hat"],
+        "verify-hat-d-above-middle-rows": ["verify-hat"],
+        "lipschitz-d-above-batch": ["lipschitz"],
     }
 
     # the --config file of a case, for keys that have no flag
@@ -479,6 +499,9 @@ class TestInvalidInput:
         "verify-hat-network-5": {"network": 5},
         "verify-hat-network-true": {"network": True},
         "rates-config-not-object": 5,
+        "build-hat-d-1e9": {"d": 1_000_000_000},
+        "verify-hat-d-above-middle-rows": {"d": 1_333_334, "points": 1},
+        "lipschitz-d-above-batch": {"d": 83_887, "samples": 100},
     }
 
     # what the message must name, where the failure has a specific cause
@@ -534,6 +557,12 @@ class TestInvalidInput:
         "rates-depth-cap-flag-abc": "argument --depth-cap: invalid number value",
         "hardness-m-list-flag-4,x": "argument --m-list: invalid integer list value",
         "hardness-family-above-cap": "4**20 family centers",
+        "build-hat-d-2000000": "d must be an integer in [1, 838] with points=10000",
+        "verify-hat-d-2000000": "d must be an integer in [1, 838] with points=10000",
+        "lipschitz-d-2000000": "d must be an integer in [1, 8388] with samples=1000",
+        "build-hat-d-1e9": "d must be an integer in [1, 838] with points=10000",
+        "verify-hat-d-above-middle-rows": "d must be an integer in [1, 1333333] with points=1",
+        "lipschitz-d-above-batch": "d must be an integer in [1, 83886] with samples=100",
     }
 
     @pytest.mark.parametrize("case", CASES)
