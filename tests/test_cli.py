@@ -289,6 +289,17 @@ class TestSweepCommands:
              "--grid-res", "5"],
             "85630e182c7bc4fad9bce4aa001eb5605ccd2a648afd7792a50eee99d857ec8a",
         ),
+        # cells of more than 2**14 test points: 129**2 + 1 and 27**3 + 1
+        "hardness-random-d2-res-129": (
+            ["hardness", "--algorithm", "random", "--d", "2", "--m-list", "16,64",
+             "--grid-res", "129"],
+            "7d0fd457af9ec420d14abffec3b1a91e1f31de3f8d39ceea729914530ff04d6d",
+        ),
+        "hardness-random-d3-res-27": (
+            ["hardness", "--algorithm", "random", "--d", "3", "--m-list", "64",
+             "--grid-res", "27"],
+            "a310f94215457248e0198cec7a2fa0c4e417e3df5454400494c8c67d19c532bf",
+        ),
     }
 
     @pytest.mark.parametrize("case", PINNED)
