@@ -90,9 +90,7 @@ def gamma_closed_form(policy: GrowthPolicy) -> tuple[float, float]:
     return (g, g)
 
 
-def gamma_numeric(
-    policy: GrowthPolicy, n_max: int, n_min: int = 100, grid_size: int = 400
-) -> tuple[float, float]:
+def gamma_numeric(policy: GrowthPolicy, n_max: int) -> tuple[float, float]:
     """Estimate the growth exponent by regression over a geometric n grid.
 
     Fits log2 of max_{L <= ell(n)} c(n)**(2**L - 1) * n**((2**L - 1)/2)
@@ -101,7 +99,7 @@ def gamma_numeric(
     exponent is recovered cleanly."""
     if n_max < 100:
         raise ValueError("n_max must be >= 100")
-    grid = np.unique(np.geomspace(n_min, n_max, grid_size).round()).astype(np.int64)
+    grid = np.unique(np.geomspace(100, n_max, 400).round()).astype(np.int64)
     ells = np.array([policy.ell(int(n)) for n in grid], dtype=np.float64)
     if np.any(~np.isfinite(ells)):
         raise ValueError("unbounded depth allowance: the exponent is infinite")
@@ -119,17 +117,17 @@ def gamma_numeric(
     return (est, est)
 
 
-def _growth_scan(policy: GrowthPolicy, L: int, n_scan: int = 1_000_000):
+def _growth_scan(policy: GrowthPolicy, L: int):
     """The n-grid of the log-space supremum scans over the growth term.
 
-    The grid is 1..4096 plus 600 rounded geometric points up to n_scan.
+    The grid is 1..4096 plus 600 rounded geometric points up to 10**6.
     Returns log2 n and the two parts of the growth term
     (2**L-1) log2 c(n) + (2**L-1)/2 log2 n on it; they are kept apart so
     that each caller fixes its own floating-point operation order."""
-    small = np.arange(1, min(n_scan, 4096) + 1, dtype=np.float64)
-    tail = np.geomspace(4096, max(n_scan, 4096), 600).round()
+    small = np.arange(1, 4097, dtype=np.float64)
+    tail = np.geomspace(4096, 1_000_000, 600).round()
     grid = np.concatenate([small, tail])  # ascending: drop the repeats
-    grid = grid[(np.diff(grid, prepend=0.0) > 0) & (grid <= n_scan)]
+    grid = grid[np.diff(grid, prepend=0.0) > 0]
     e = 2.0**L - 1.0
     log2_n = np.log2(grid)
     log2_c = np.log2(np.asarray(policy.c(grid), dtype=np.float64))
@@ -209,7 +207,6 @@ def empirical_lipschitz(
     samples: int = 1000,
     norm: str = "l1",
     seed: int = 0,
-    offset_scale: float = 1e-4,
 ) -> float:
     """Sampled lower estimate of the Lipschitz constant on a box domain.
 
@@ -239,7 +236,7 @@ def empirical_lipschitz(
     a = rng.uniform(lo, hi, size=(samples, d))
     b = rng.uniform(lo, hi, size=(samples, d))
     best = slope(a, b)
-    step = offset_scale * (hi - lo)
+    step = 1e-4 * (hi - lo)
     for axis in range(d):
         base = rng.uniform(lo, hi, size=(samples, d))
         shifted = base.copy()

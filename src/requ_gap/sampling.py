@@ -1,11 +1,11 @@
 """Sampling algorithms, the adversarial bump family, and error measurement.
 
-A sampling algorithm is m points in [0,1]^d plus a reconstruction map that
-sees a function only through its values at those points.  The adversarial
-family places signed, disjointly supported, unit-ball-certified bumps on a
-regular grid of 2*ceil(m**(1/d)) centers per axis; any algorithm with m
-samples must leave at least m bumps entirely unseen, which forces its average
-error above an explicit power law in m.  This module measures that average
+A sampling algorithm is m points in [0,1]^d plus a linear stencil, the
+reconstruction map that sees a function only through its values there.  The
+adversarial family places signed, disjointly supported, unit-ball-certified
+bumps on a regular grid of 2*ceil(m**(1/d)) centers per axis; any algorithm
+with m samples must leave at least m bumps entirely unseen, which forces its
+average error above an explicit power law in m.  This module measures that average
 error, audits Monte Carlo budgets, and packages sweeps into reports.
 """
 
@@ -25,19 +25,15 @@ from .rates import _growth_scan
 
 @dataclass(frozen=True)
 class SamplingAlgorithm:
-    """Sample points plus a reconstruction map.
+    """Sample points plus a linear reconstruction map.
 
-    ``reconstruct(values)`` returns a callable evaluating the reconstruction
-    on (k, d) batches.  ``linear_stencil``, when present, expresses the
-    reconstruction as a fixed linear combination of sample values: it maps a
-    (k, d) batch of query points to (indices, weights) with
-    reconstruction(values)(X) = sum_s weights[:, s] * values[indices[:, s]].
-    It enables the vectorized average-error path."""
+    ``linear_stencil`` maps a (k, d) batch of query points to (indices,
+    weights), and reconstruct(values)(X) = sum_s weights[:, s] *
+    values[indices[:, s]]."""
 
     points: np.ndarray
-    reconstruct: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
+    linear_stencil: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     label: str
-    linear_stencil: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
@@ -52,6 +48,19 @@ class SamplingAlgorithm:
     @property
     def d(self) -> int:
         return self.points.shape[1]
+
+    def reconstruct(self, values) -> Callable[[np.ndarray], np.ndarray]:
+        """The reconstruction of ``values`` at the points, a callable on
+        (k, d) batches."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != (self.m,):
+            raise ValueError(f"expected {self.m} sample values")
+
+        def evaluate(x):
+            idx, w = self.linear_stencil(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+            return (w * values[idx]).sum(axis=1)
+
+        return evaluate
 
 
 @dataclass(frozen=True)
@@ -80,22 +89,6 @@ def _int_root_ceil(m: int, d: int) -> int:
     """ceil(m**(1/d)) computed exactly on integers."""
     k = _int_root_floor(m, d)
     return k if k**d == m else k + 1
-
-
-def _stencil_reconstruct(points, stencil):
-    def reconstruct(values):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (len(points),):
-            raise ValueError(f"expected {len(points)} sample values")
-
-        def evaluate(x):
-            x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-            idx, w = stencil(x)
-            return (w * values[idx]).sum(axis=1)
-
-        return evaluate
-
-    return reconstruct
 
 
 def grid_algorithm(m: int, d: int, reconstruction: str = "nearest") -> SamplingAlgorithm:
@@ -144,16 +137,12 @@ def grid_algorithm(m: int, d: int, reconstruction: str = "nearest") -> SamplingA
             )
             return flat, w
 
-    return SamplingAlgorithm(
-        points=points,
-        reconstruct=_stencil_reconstruct(points, stencil),
-        label=f"grid-{reconstruction}",
-        linear_stencil=stencil,
-    )
+    return SamplingAlgorithm(points, stencil, f"grid-{reconstruction}")
 
 
-# values per array of a nearest-sample step (distances, or a chunk's test
-# points), small so that a chunk's few arrays add little to peak memory
+# values per array of a nearest-sample step (the brute-force search's
+# distances, or a chunk's test points, whole cells of them), small so that a
+# chunk's few arrays add little to peak memory
 _CHUNK_ENTRIES = 1 << 14
 
 
@@ -193,12 +182,7 @@ def uniform_random_algorithm(m: int, d: int, seed: int = 0, rng=None) -> Samplin
     points = rng.uniform(0.0, 1.0, size=(m, d))
     stencil = _NearestSample(points)
 
-    return SamplingAlgorithm(
-        points=points,
-        reconstruct=_stencil_reconstruct(points, stencil),
-        label="uniform-random-nearest",
-        linear_stencil=stencil,
-    )
+    return SamplingAlgorithm(points, stencil, "uniform-random-nearest")
 
 
 def zero_algorithm(m: int, d: int) -> SamplingAlgorithm:
@@ -209,12 +193,7 @@ def zero_algorithm(m: int, d: int) -> SamplingAlgorithm:
         x = np.atleast_2d(x)
         return np.zeros((len(x), 1), np.int64), np.zeros((len(x), 1))
 
-    return SamplingAlgorithm(
-        points=grid.points,
-        reconstruct=_stencil_reconstruct(grid.points, stencil),
-        label="zero",
-        linear_stencil=stencil,
-    )
+    return SamplingAlgorithm(grid.points, stencil, "zero")
 
 
 def uniform_mc(m: int, d: int) -> MonteCarloAlgorithm:
@@ -408,14 +387,16 @@ def average_error(
     family: AdversarialFamily,
     algorithm: SamplingAlgorithm,
     grid_resolution: int = 9,
-    method: str = "auto",
+    method: str = "stencil",
 ) -> AverageErrorResult:
     """Mean over members (i, nu) of the estimated sup-norm of f - Q(f).
 
     The sup is estimated on a refined grid inside each member's support cube
     plus its center; restricting to the support underestimates the true sup
-    and keeps the hardness comparison one-sided.  On the stencil path a cell
-    that holds no sample reconstructs to exactly 0, so its error is
+    and keeps the hardness comparison one-sided.  ``method`` is "stencil" or
+    "generic": the generic path reconstructs member by member and is the
+    reference for the stencil path.  On the stencil path a cell that holds
+    no sample reconstructs to exactly 0, so its error is
     ``amplitude * |theta(offset)|`` in closed form, and only the seen cells
     are evaluated.  A nearest-sample stencil is not called there: a cell's
     candidates pass a bisector test against its own sample, and their
@@ -427,13 +408,10 @@ def average_error(
     it are built once per family (``_support``)."""
     if algorithm.d != family.d:
         raise ValueError("algorithm and family dimensions differ")
-    use_stencil = method == "stencil" or (
-        method == "auto" and algorithm.linear_stencil is not None
-    )
+    if method not in ("stencil", "generic"):
+        raise ValueError(f"method must be 'stencil' or 'generic', not {method!r}")
     offsets, theta_off = _support(family, grid_resolution)
-    if use_stencil:
-        if algorithm.linear_stencil is None:
-            raise ValueError("algorithm has no linear stencil")
+    if method == "stencil":
         row_max, center, unseen = _average_error_stencil(family, algorithm, offsets, theta_off)
     else:
         row_max, center = _average_error_generic(family, algorithm, offsets, theta_off)
@@ -518,22 +496,15 @@ def _nearest_in_seen_cells(family, stencil, ci, seen, offsets):
     product lattice of R values per axis in C order, so axis a of a test
     point (``centers[cell, a] + offset``) takes R values.  Each candidate's
     squared terms are taken per axis, (candidates, R), and added from axis
-    0 by broadcasting into the lattice: every sum is ((t0 + t1) + t2) ...,
-    the brute-force order (from 0, and 0 + t0 == t0), so the distances are
-    its bits.  The j-th candidates of a chunk's cells, widest first, are
-    compared at once; one replaces the best only when strictly closer, so
-    the lowest index wins a tie, as in argmin."""
+    0 by broadcasting into the whole lattice of its cell: every sum is
+    ((t0 + t1) + t2) ..., the brute-force order (from 0, and 0 + t0 == t0),
+    so the distances are its bits.  The j-th candidates of a chunk's cells,
+    widest first, are compared at once; one replaces the best only when
+    strictly closer, so the lowest index wins a tie, as in argmin."""
     d, G, points = family.d, len(offsets), stencil.points
     R = _int_root_floor(G - 1, d)
     values = np.append(offsets[1 : R + 1, d - 1], 0.0)  # every axis's, then the center's
     coords = np.ascontiguousarray(points.T)
-    # slices of at most _CHUNK_ENTRIES test points: (values on the leading
-    # axes, range on the next, first column)
-    lead = next(a for a in range(d) if a == d - 1 or R ** (d - 1 - a) <= _CHUNK_ENTRIES)
-    tail = R ** (d - 1 - lead)
-    piece = max(1, min(R, _CHUNK_ENTRIES // tail))
-    blocks = [(np.unravel_index(u, (R,) * lead), o, min(o + piece, R), 1 + (u * R + o) * tail)
-              for u in range(R**lead) for o in range(0, R, piece)]
     for cells, row, ids in _candidates(family, coords, ci, seen, offsets):
         per = np.bincount(row, minlength=len(cells))
         # one row of candidates per cell, its first per[i] entries used
@@ -559,19 +530,19 @@ def _nearest_in_seen_cells(family, stencil, ci, seen, offsets):
             table = np.full(ranked.shape, np.inf)
             table[ranked] = sum(terms[:, :, R])
             found[:, 0] = np.take_along_axis(top, table.argmin(axis=0)[:, None], 1)[:, 0]
-            for fixed, lo, hi, col in blocks:
-                for b, head in zip(np.cumsum(live) - live, live):
-                    t, c = terms[:, b : b + head], ids[b : b + head, None]
-                    dist = sum(t[a, :, v, None] for a, v in enumerate(fixed)) + t[lead, :, lo:hi]
-                    for a in range(lead + 1, d):
-                        dist = (dist[:, :, None] + t[a, :, None, :R]).reshape(head, -1)
-                    nearest = found[:head, col : col + dist.shape[1]]
-                    if b == 0:
-                        best, nearest[:] = dist, c
-                        continue
-                    closer = dist < best[:head]
-                    np.minimum(best[:head], dist, out=best[:head])
-                    np.copyto(nearest, c, where=closer)
+            for b, head in zip(np.cumsum(live) - live, live):
+                t, c = terms[:, b : b + head, :R], ids[b : b + head, None]
+                # at d = 1 the first rank's distances, and so best, are a
+                # view of its rows of terms; later ranks read only theirs
+                dist = t[0]
+                for a in range(1, d):
+                    dist = (dist[:, :, None] + t[a, :, None]).reshape(head, -1)
+                if b == 0:
+                    best, found[:, 1:] = dist, c
+                    continue
+                closer = dist < best[:head]
+                np.minimum(best[:head], dist, out=best[:head])
+                np.copyto(found[:head, 1:], c, where=closer)
         yield cells, idx.reshape(-1, 1), np.broadcast_to(1.0, (idx.size, 1))
 
 
@@ -624,8 +595,8 @@ def _candidates(family, coords, ci, seen, offsets):
 
 
 def _average_error_generic(family, algorithm, offsets, theta_off):
-    """Per-member path valid for arbitrary reconstruction maps; returns the
-    per-center maxima and center errors of the stencil path, to rounding."""
+    """Per-member path through ``algorithm.reconstruct``, the reference for
+    the stencil path: its per-center maxima and center errors, to rounding."""
     K = family.num_centers
     row_max, center = np.empty(K), np.empty(K)
     amp = family.amplitude
@@ -733,14 +704,14 @@ def _fit_exponent(m_values, errors) -> float:
     return float(slope)
 
 
-def _sweep(m_list, row, params, seed, label=None, upper=False) -> ExperimentReport:
+def _sweep(m_list, row, params, seed, upper=False) -> ExperimentReport:
     """The loop shared by the sweep runners.
 
     ``row(m)`` measures one budget of the non-empty, strictly ascending
-    m_list and returns (name, row); the first name labels the report unless
-    ``label`` is given.  A hardness sweep passes when every row passes and
-    keeps its sample budget; an upper-bound sweep passes when the decay
-    exponent fitted to the measured errors is below the slope target."""
+    m_list and returns (name, row); the first name labels the report.  A
+    hardness sweep passes when every row passes and keeps its sample budget;
+    an upper-bound sweep passes when the decay exponent fitted to the
+    measured errors is below the slope target."""
     m_list = list(m_list)
     if not m_list or any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("m_list must be non-empty and strictly ascending")
@@ -756,7 +727,7 @@ def _sweep(m_list, row, params, seed, label=None, upper=False) -> ExperimentRepo
         params = {**params, "decay_exponent_theoretical": decay}
         ok = all(r["pass"] and r.get("budget_ok", True) for r in rows)
     return ExperimentReport(
-        label=label or names[0],
+        label=names[0],
         params=params,
         seed=seed,
         rows=rows,
@@ -789,7 +760,6 @@ def run_hardness_sweep(
     grid_resolution: int = 9,
     kappa1_override: float | None = None,
     seed: int = 0,
-    label: str | None = None,
 ) -> ExperimentReport:
     """Average error vs the hardness bound over a sweep of sample budgets.
 
@@ -821,7 +791,7 @@ def run_hardness_sweep(
         "grid_resolution": grid_resolution,
         "kappa1_override": kappa1_override,
     }
-    return _sweep(m_list, row, params, seed, label)
+    return _sweep(m_list, row, params, seed)
 
 
 def run_mc_sweep(
@@ -835,7 +805,6 @@ def run_mc_sweep(
     grid_resolution: int = 9,
     kappa1_override: float | None = None,
     seed: int = 0,
-    label: str | None = None,
 ) -> ExperimentReport:
     """Monte Carlo sweep: mean average error over independent draws per m.
 
@@ -883,7 +852,7 @@ def run_mc_sweep(
         "grid_resolution": grid_resolution,
         "kappa1_override": kappa1_override,
     }
-    return _sweep(m_list, row, params, seed, label)
+    return _sweep(m_list, row, params, seed)
 
 
 def run_upper_bound_sweep(

@@ -122,12 +122,7 @@ def _brute_nearest(points, x):
 def _nearest_algorithm(points):
     points = np.asarray(points, dtype=np.float64)
     stencil = sampling._NearestSample(points)
-    return SamplingAlgorithm(
-        points=points,
-        reconstruct=sampling._stencil_reconstruct(points, stencil),
-        label="nearest",
-        linear_stencil=stencil,
-    )
+    return SamplingAlgorithm(points, stencil, "nearest")
 
 
 def _check_cell_search(fam, alg, res):
@@ -210,7 +205,8 @@ class TestNearestSample:
         # draw may hold more samples than the block of
         # (2*ceil(sqrt(d)) + 1)**d cells, which is then gathered;
         # ceil(sqrt(d)) has no slack at d = 4 and is 3 at d = 5.  A chunk of
-        # 30 distances takes the seen cells one at a time.
+        # 30 test points takes the seen cells one at a time, each with its
+        # whole lattice.
         fam = build_adversarial_family(fam_m, d, ALPHA, GAMMA, POLICY5)
         res = data.draw(st.sampled_from([3, 7] if d <= 3 else [3]))
         steps = 8 * fam.M
@@ -243,7 +239,7 @@ class TestNearestSample:
         # test point c + (1/32, 1/32) samples 1, 2 and 5 tie exactly, and
         # sample 1 must win.  The default chunk puts both cells in one group
         # of rows; a chunk of 5 takes one cell at a time, its 10 test points
-        # in two slices.  Thirty far samples make the 5 x 5 block gathered.
+        # at once.  Thirty far samples make the 5 x 5 block gathered.
         fam = build_adversarial_family(16, 2, ALPHA, GAMMA, POLICY5)
         c = fam.centers[5 * fam.per_axis + 5]
         e = 1 / 32
@@ -463,9 +459,7 @@ class TestAverageError:
         fam = build_adversarial_family(5, 2, ALPHA, GAMMA, POLICY5)
         points = np.array([[1 / 16, 1 / 12], [1 / 12, 5 / 16]])
         stencil = sampling._NearestSample(points)
-        alg = SamplingAlgorithm(
-            points, sampling._stencil_reconstruct(points, stencil), "fixed", stencil
-        )
+        alg = SamplingAlgorithm(points, stencil, "fixed")
         fast = average_error(fam, alg, grid_resolution=3, method="stencil")
         slow = average_error(fam, alg, grid_resolution=3, method="generic")
         for got, want in zip(dataclasses.astuple(fast), dataclasses.astuple(slow)):
@@ -491,8 +485,9 @@ class TestAverageError:
 
     def test_peak_memory_of_a_large_grid_stays_bounded(self):
         # grid resolution 600 in d = 2: G = 360,001 test points per cell,
-        # more than _CHUNK_ENTRIES, so the nearest-sample search takes each
-        # seen cell's lattice in slices; about 17 MB are allocated at once
+        # more than _CHUNK_ENTRIES, so the nearest-sample search takes one
+        # seen cell at a time, its whole lattice at once; about 22 MB are
+        # allocated at once
         fam = build_adversarial_family(16, 2, ALPHA, GAMMA, POLICY5)
         alg = uniform_random_algorithm(16, 2, seed=0)
         sampling._support(fam, 600)
@@ -508,6 +503,11 @@ class TestAverageError:
         fam = build_adversarial_family(4, 2, ALPHA, GAMMA, POLICY5)
         with pytest.raises(ValueError):
             average_error(fam, grid_algorithm(4, 1))
+
+    def test_unknown_method_is_rejected(self):
+        fam = build_adversarial_family(4, 2, ALPHA, GAMMA, POLICY5)
+        with pytest.raises(ValueError, match="'stencil' or 'generic'"):
+            average_error(fam, grid_algorithm(4, 2), method="stenc1l")
 
 
 class TestBounds:
