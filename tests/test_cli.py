@@ -54,6 +54,29 @@ class TestBuildHat:
         assert json.loads(capsys.readouterr().out)["pass"]
 
 
+    PINNED = {
+        "n2-L6-d2": (
+            ["--n", "2", "--L", "6", "--d", "2", "--depth-cap", "7"],
+            "47c11d5b3d0985d46d2cd748fdaeed58dcf904bbafda3be6262b0d0737601619",
+        ),
+        "n3-L7-d1": (
+            ["--n", "3", "--L", "7", "--d", "1", "--depth-cap", "7"],
+            "82e33c2c2a8524a099a51a39d9558b5f66499e86319625b8aa7b426e109fa577",
+        ),
+        "n1-L9-d4": (
+            ["--n", "1", "--L", "9", "--d", "4", "--depth-cap", "9"],
+            "997d5b3fbe4c8176930ed4c466664cad9fb460d921a56ee344a3ac54b2bb1fb6",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", PINNED)
+    def test_hat_bytes_are_pinned(self, case, tmp_path):
+        argv, digest = self.PINNED[case]
+        out = tmp_path / "hat.json"
+        assert run(["build-hat", "--M", "2", "--scale", "256", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestVerifyHat:
     def test_pass_roundtrip_against_file(self, tmp_path):
         out = tmp_path / "hat.json"
@@ -299,6 +322,20 @@ class TestSweepCommands:
             ["hardness", "--algorithm", "random", "--d", "3", "--m-list", "64",
              "--grid-res", "27"],
             "a310f94215457248e0198cec7a2fa0c4e417e3df5454400494c8c67d19c532bf",
+        ),
+        # stencil sweeps with seen cells: multilinear, nearest grid node, zero
+        "hardness-grid-multilinear-d3": (
+            ["hardness", "--algorithm", "grid-multilinear", "--d", "3",
+             "--m-list", "100,200,300,343"],
+            "adfbc8c7ec5b80c969eebbeaa84a67d35a5849aef1c68bc91fea41630a93f5c5",
+        ),
+        "hardness-grid-d3": (
+            ["hardness", "--algorithm", "grid", "--d", "3", "--m-list", "30,100"],
+            "163a846b28a63d9bfde0fd935b0d62f90408ca32d716a39ea417da6d519c4f34",
+        ),
+        "hardness-zero-d2": (
+            ["hardness", "--algorithm", "zero", "--d", "2", "--m-list", "20,80"],
+            "a3b70efae03834e15f9f475eaad9abcbf059243d93cbdccde4cbeececdb646b1",
         ),
     }
 
