@@ -255,12 +255,14 @@ def _finite_or_none(x: float) -> float | None:
 
 def _hat_params(cfg) -> HatBuildParams:
     # d is bounded before anything of its size is allocated: by the batch of
-    # points (or samples) the command evaluates and, where the hat is
-    # materialized, by its middle layer of at least 3 d rows
+    # points and the hat's 3 d middle rows, or by the 2 (d + 1) batches of
+    # samples x d coordinates of lipschitz: d (d + 1) <= _MAX_COORDS // samples
     batch = "samples" if "samples" in cfg else "points"
     high = _MAX_COORDS // cfg[batch]
     if batch == "points":
         high = min(high, _MAX_MIDDLE_ROWS // 3)
+    else:
+        high = (math.isqrt(4 * high + 1) - 1) // 2
     if cfg["d"] > high:
         raise ConfigError(
             f"d must be an integer in [1, {high}] with {batch}={cfg[batch]}, got {cfg['d']}"

@@ -25,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .network import (
+    _LAMBDA,
     GrowthPolicy,
     Layer,
     NeuralNetwork,
@@ -69,10 +70,6 @@ class BumpSpec:
         if not all(map(math.isfinite, y)):
             raise ValueError("center y must be finite")
         object.__setattr__(self, "y", y)
-
-    @property
-    def support_halfwidth(self) -> float:
-        return 1.0 / self.M
 
 
 def _lambda_1d(M, y, p, x):
@@ -245,8 +242,6 @@ class BuiltHat:
         u3 = Fraction(c["b23"]) ** 2
         s4 = p.n**8 * c["d"] * u3
         v4 = s4 * s4
-        if p.L == 5:
-            return Fraction(c["h"]) * v4
         return Fraction(c["h"]) * v4 ** (2 ** (p.L - 5))
 
     @cached_property
@@ -303,9 +298,6 @@ class BuiltHat:
         b3 = SparseVector.from_dense([0.0, c["b32"], c["b33"], 0.0])
 
         layers = [Layer(a1, b1), Layer(a2, b2), Layer(a3, b3)]
-        e_layer = Layer(
-            SparseMatrix.from_dense([[0.25, -0.25]]), SparseVector.from_dense([0.0])
-        )
         if p.L == 5:
             d1 = SparseMatrix.from_dense(
                 [[0.5, -1.0, 0.5, c["h"]], [-0.5, 1.0, -0.5, c["h"]]]
@@ -325,7 +317,8 @@ class BuiltHat:
                 [[0.25, -0.25, c["h"]], [-0.25, 0.25, c["h"]]]
             )
             layers.append(Layer(kmat, SparseVector(2, [], [])))
-        layers.append(e_layer)
+        # the last layer is the one depth_extend ends with
+        layers.append(_LAMBDA)
         return NeuralNetwork(tuple(layers))
 
     def bump_channel(self, x) -> np.ndarray:
@@ -527,15 +520,9 @@ def scaled_unit_ball_bump(
     log2_n, growth_c, growth_n = _growth_scan(policy, L)
     log_ratio = gamma * log2_n - growth_c - growth_n
     best = int(np.argmax(log_ratio))
-    # tail check: the ratio must be non-increasing toward the end of the scan
-    # (for parametric policies this is implied by gamma < (2**L-1)(theta+1/2))
-    if policy.kind == "parametric":
-        if gamma >= (2.0**L - 1.0) * (policy.theta_c + 0.5):
-            raise ValueError(
-                "gamma too large for the chosen depth: the scanned supremum "
-                "does not stabilize"
-            )
-    elif best >= log2_n.size - 2:
+    # tail check: the ratio must be non-increasing toward the end of the scan;
+    # for a parametric policy _pick_depth chose L with gamma < (2**L-1)(theta+1/2)
+    if policy.kind != "parametric" and best >= log2_n.size - 2:
         warnings.warn(
             "supremum attained at the scan boundary n = 10**6 for a tabulated "
             "policy; the supremum may lie beyond it",

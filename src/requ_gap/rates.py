@@ -179,25 +179,16 @@ def rate_window(alpha: float, d: int, policy: GrowthPolicy) -> RateWindow:
         gamma_flat, gamma_sharp = gamma_closed_form(policy)
     else:
         gamma_flat, gamma_sharp = gamma_numeric(policy, n_max=10_000)
-    if not (math.isfinite(gamma_flat) and math.isfinite(gamma_sharp)):
-        return RateWindow(
-            alpha=alpha,
-            d=d,
-            gamma_flat=gamma_flat,
-            gamma_sharp=gamma_sharp,
-            lower_rate=0.0,
-            upper_rate=0.0,
-            degenerate=True,
-        )
-    lower = alpha / (d * (alpha + gamma_sharp))
-    upper = 64.0 * alpha / (d * (8.0 * alpha + gamma_flat))
+    # an infinite exponent, or a NaN one from overflowing growth terms: no window
+    degenerate = not (math.isfinite(gamma_flat) and math.isfinite(gamma_sharp))
     return RateWindow(
         alpha=alpha,
         d=d,
         gamma_flat=gamma_flat,
         gamma_sharp=gamma_sharp,
-        lower_rate=lower,
-        upper_rate=upper,
+        lower_rate=0.0 if degenerate else alpha / (d * (alpha + gamma_sharp)),
+        upper_rate=0.0 if degenerate else 64.0 * alpha / (d * (8.0 * alpha + gamma_flat)),
+        degenerate=degenerate,
     )
 
 

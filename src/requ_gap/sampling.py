@@ -140,9 +140,9 @@ def grid_algorithm(m: int, d: int, reconstruction: str = "nearest") -> SamplingA
     return SamplingAlgorithm(points, stencil, f"grid-{reconstruction}")
 
 
-# values per array of a nearest-sample step (the brute-force search's
-# distances, or a chunk's test points, whole cells of them), small so that a
-# chunk's few arrays add little to peak memory
+# values per array of a step: the brute-force nearest-sample search's
+# distances, or the test points of a chunk of seen cells (whole cells, so at
+# least one), small so that a chunk's few arrays add little to peak memory
 _CHUNK_ENTRIES = 1 << 14
 
 
@@ -398,7 +398,8 @@ def average_error(
     reference for the stencil path.  On the stencil path a cell that holds
     no sample reconstructs to exactly 0, so its error is
     ``amplitude * |theta(offset)|`` in closed form, and only the seen cells
-    are evaluated.  A nearest-sample stencil is not called there: a cell's
+    are evaluated, in chunks of whole cells of at most ``_CHUNK_ENTRIES``
+    test points.  A nearest-sample stencil is not called there: a cell's
     candidates pass a bisector test against its own sample, and their
     distances are per-axis terms added in the stencil's order, so every
     index and error bit is the stencil's (``_nearest_in_seen_cells``).  The
@@ -424,17 +425,14 @@ def average_error(
     )
 
 
-# test points per stencil call on the seen cells (whole cells per chunk)
-_CHUNK_POINTS = 1 << 16
-
-
 def _average_error_stencil(family, algorithm, offsets, theta_off):
     """Vectorized path for linear, value-scaling-equivariant reconstructions:
     per center the error maximum over the test offsets and the error at the
     center, and the number of cells without a sample.  The nu = +-1 errors
     coincide, as the reconstruction scales with the data.  Samples outside a
-    member's cell are masked out, so a cell without one reconstructs to 0;
-    the seen cells come in chunks of whole cells (memory O(K + chunk))."""
+    member's cell are masked out, so a cell without one reconstructs to 0.
+    Chunks of whole seen cells (memory O(K + chunk)) come from the stencil,
+    or from ``_nearest_in_seen_cells`` for a nearest-sample stencil."""
     ci, tv = _locate_samples(family, algorithm.points)
     K, G = family.num_centers, len(offsets)
     unseen_err = family.amplitude * np.abs(theta_off)
@@ -442,23 +440,15 @@ def _average_error_stencil(family, algorithm, offsets, theta_off):
     center = np.full(K, unseen_err[0])
     seen = np.flatnonzero(np.bincount(ci[ci >= 0], minlength=K))
     stencil = algorithm.linear_stencil
-    nearest = isinstance(stencil, _NearestSample)
-    if nearest:
+    if isinstance(stencil, _NearestSample):
         chunks = _nearest_in_seen_cells(family, stencil, ci, seen, offsets)
     else:
         chunks = _stencil_in_seen_cells(family, stencil, seen, offsets)
     for cells, idx, w in chunks:
-        if nearest:
-            # one sample per test point, weight 1: the sum below is its
-            # value when it lies in the cell, else 0
-            idx = idx.reshape(len(cells), G)
-            err = family.amplitude * np.abs(theta_off - tv[idx])
-            err = np.where(ci[idx] == cells[:, None], err, unseen_err)
-        else:
-            mask = ci[idx] == np.repeat(cells, G)[:, None]
-            recon = (w * tv[idx] * mask).sum(axis=1)
-            err = family.amplitude * np.abs(np.tile(theta_off, len(cells)) - recon)
-            err = err.reshape(len(cells), G)
+        mask = ci[idx] == np.repeat(cells, G)[:, None]
+        recon = (w * tv[idx] * mask).sum(axis=1)
+        err = family.amplitude * np.abs(np.tile(theta_off, len(cells)) - recon)
+        err = err.reshape(len(cells), G)
         row_max[cells] = err.max(axis=1)
         center[cells] = err[:, 0]
     return row_max, center, K - len(seen)
@@ -471,8 +461,8 @@ def _test_points(family, cells, offsets):
 
 def _stencil_in_seen_cells(family, stencil, seen, offsets):
     """(cells, indices, weights) of the stencil at the test points of the
-    seen cells, cell-major, in calls of at most max(_CHUNK_POINTS, G) points."""
-    step = max(1, _CHUNK_POINTS // len(offsets))
+    seen cells, cell-major, in calls of at most max(_CHUNK_ENTRIES, G) points."""
+    step = max(1, _CHUNK_ENTRIES // len(offsets))
     for start in range(0, len(seen), step):
         cells = seen[start : start + step]
         test = _test_points(family, cells, offsets).reshape(-1, family.d)
@@ -603,8 +593,7 @@ def _average_error_generic(family, algorithm, offsets, theta_off):
     for i in range(K):
         test = family.centers[i] + offsets
         f_test = amp * theta_off
-        spec = BumpSpec(d=family.d, M=float(family.M), y=tuple(family.centers[i]), p=2)
-        values = amp * vartheta(spec, algorithm.points)
+        values = family.member(i, 1)(algorithm.points)
         e_plus = np.abs(f_test - algorithm.reconstruct(values)(test))
         e_minus = np.abs(-f_test - algorithm.reconstruct(-values)(test))
         errs = 0.5 * (e_plus + e_minus)

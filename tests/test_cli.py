@@ -607,10 +607,10 @@ class TestInvalidInput:
         "hardness-family-above-cap": "4**20 family centers",
         "build-hat-d-2000000": "d must be an integer in [1, 838] with points=10000",
         "verify-hat-d-2000000": "d must be an integer in [1, 838] with points=10000",
-        "lipschitz-d-2000000": "d must be an integer in [1, 8388] with samples=1000",
+        "lipschitz-d-2000000": "d must be an integer in [1, 91] with samples=1000",
         "build-hat-d-1e9": "d must be an integer in [1, 838] with points=10000",
         "verify-hat-d-above-middle-rows": "d must be an integer in [1, 1333333] with points=1",
-        "lipschitz-d-above-batch": "d must be an integer in [1, 83886] with samples=100",
+        "lipschitz-d-above-batch": "d must be an integer in [1, 289] with samples=100",
     }
 
     @pytest.mark.parametrize("case", CASES)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from requ_gap.hats import (
@@ -327,6 +327,30 @@ class TestUnitBallScaling:
         pol = GrowthPolicy(kind="parametric", depth_cap=7)
         _, cert = scaled_unit_ball_bump(1.0, 20.0, 1.0, (0.5,), pol)
         assert cert.L == 6  # smallest depth with 20 < (2^L - 1)/2
+
+    @given(
+        theta=st.floats(0.0, 4.0),
+        scale=st.floats(1.0, 256.0),
+        cap=st.one_of(st.integers(5, 40), st.just(math.inf)),
+        gamma=st.floats(1e-3, 1e6),
+        k=st.integers(5, 24),
+        on_boundary=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_certified_depth_keeps_gamma_below_its_allowance(
+        self, theta, scale, cap, gamma, k, on_boundary
+    ):
+        # what makes a re-check of the parametric tail needless: the depth
+        # that is certified has gamma < (2**L - 1) (theta_c + 1/2), in floats
+        if on_boundary:
+            gamma = (2.0**k - 1.0) * (theta + 0.5)
+        pol = GrowthPolicy(kind="parametric", theta_c=theta, scale=scale, depth_cap=cap)
+        try:
+            _, cert = scaled_unit_ball_bump(1.0, gamma, 2.0, (0.5,), pol)
+        except ValueError:
+            assume(False)
+        assert gamma < (2.0**cert.L - 1.0) * (theta + 0.5)
 
     def test_call_evaluates_scaled_bump(self):
         g, _ = scaled_unit_ball_bump(1.0, 1.0, 2.0, (0.25, 0.25), POLICY5)

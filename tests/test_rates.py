@@ -222,6 +222,18 @@ class TestRateWindow:
         assert w.degenerate
         assert w.lower_rate == 0.0 and w.upper_rate == 0.0
 
+    def test_undefined_numeric_exponent_degenerates(self):
+        # depth 2000 past n = 300: the growth terms overflow and the
+        # regression returns NaN, which leaves no window either
+        pol = GrowthPolicy(
+            kind="tabulated", ell_table=((1, 5.0), (300, 2000.0)), c_table=((1, 2.0),)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            w = rate_window(1.0, 1, pol)
+        assert math.isnan(w.gamma_flat) and w.degenerate
+        assert w.lower_rate == 0.0 and w.upper_rate == 0.0
+
     def test_tabulated_uses_numeric_exponent(self):
         pol = GrowthPolicy(kind="tabulated", ell_table=((1, 5),), c_table=((1, 1),))
         w = rate_window(1.0, 1, pol)

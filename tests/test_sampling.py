@@ -417,7 +417,7 @@ class TestAverageError:
         fam200 = build_adversarial_family(200, 3, ALPHA, GAMMA, POLICY5)
         random200 = uniform_random_algorithm(200, 3, seed=5)
         seen = fam200.num_centers - count_unseen(fam200, random200)
-        assert seen > sampling._CHUNK_POINTS // 730  # 9**3 + 1 offsets per cell
+        assert seen > sampling._CHUNK_ENTRIES // 730  # 9**3 + 1 offsets per cell
         cases.append((fam200, random200))
         # the nearest-sample cell-block search in d = 1 and d = 2
         for m, d, seed in ((64, 1, 21), (300, 1, 22), (64, 2, 23), (256, 2, 24)):
@@ -480,13 +480,13 @@ class TestAverageError:
         G = 9**3 + 1
         assert sum(calls) == seen * G
         assert len(calls) > 1
-        assert max(calls) <= max(sampling._CHUNK_POINTS, G)
+        assert max(calls) <= max(sampling._CHUNK_ENTRIES, G)
         assert res == average_error(fam, alg, grid_resolution=9)
 
     def test_peak_memory_of_a_large_grid_stays_bounded(self):
         # grid resolution 600 in d = 2: G = 360,001 test points per cell,
         # more than _CHUNK_ENTRIES, so the nearest-sample search takes one
-        # seen cell at a time, its whole lattice at once; about 22 MB are
+        # seen cell at a time, its whole lattice at once; about 26 MB are
         # allocated at once
         fam = build_adversarial_family(16, 2, ALPHA, GAMMA, POLICY5)
         alg = uniform_random_algorithm(16, 2, seed=0)
