@@ -445,10 +445,10 @@ def _average_error_stencil(family, algorithm, offsets, theta_off):
     else:
         chunks = _stencil_in_seen_cells(family, stencil, seen, offsets)
     for cells, idx, w in chunks:
-        mask = ci[idx] == np.repeat(cells, G)[:, None]
-        recon = (w * tv[idx] * mask).sum(axis=1)
-        err = family.amplitude * np.abs(np.tile(theta_off, len(cells)) - recon)
-        err = err.reshape(len(cells), G)
+        idx = idx.reshape(len(cells), G, -1)
+        mask = ci[idx] == cells[:, None, None]
+        recon = (w.reshape(idx.shape) * tv[idx] * mask).sum(axis=2)
+        err = family.amplitude * np.abs(theta_off - recon)
         row_max[cells] = err.max(axis=1)
         center[cells] = err[:, 0]
     return row_max, center, K - len(seen)
