@@ -22,6 +22,7 @@ from .network import (
     depth_extend,
     deserialize,
     eliminate_dead_layers,
+    encode,
     realize,
     rho_p,
     serialize,

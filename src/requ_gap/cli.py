@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,9 @@ from .hats import (
 from .network import (
     GrowthPolicy,
     depth_extend,
+    encode,
     realize,
-    serialize,
+    serialize,  # noqa: F401  (bench/tracing.py wraps it on this module)
     stored_as,
     sum_networks,
 )
@@ -147,9 +149,10 @@ _KEYS = {
     "theta_c": (0.0, _real()),
     "kappa_c": (0.0, _real()),
     "scale": (1.0, _real()),
-    "depth_cap": (5, _integer(inf=True)),
+    # 2.0**L is finite up to L = 1023
+    "depth_cap": (5, _integer(high=1023, inf=True)),
     "n": (1, _integer()),
-    "L": (5, _integer()),
+    "L": (5, _integer(high=1023)),
     "C": (None, _real(below=2.0**128, null=True)),  # C**8 finite
     "M": (1.0, _real()),
     "d": (1, _integer()),
@@ -232,18 +235,21 @@ def _policy_from(cfg) -> GrowthPolicy:
     )
 
 
-def _write(args, doc: dict, artifact: bytes | None = None, sidecar: str = ".json") -> None:
+def _write(
+    args, doc: dict, artifact: Iterable[bytes] | None = None, sidecar: str = ".json"
+) -> None:
     """Write doc as strict JSON to --out, or to stdout without --out.  With
-    an artifact, --out receives the artifact and doc goes to --out + sidecar.
-    A NaN or infinite value in doc raises ValueError before anything is
-    written."""
+    an artifact, an iterable of byte pieces, --out receives the pieces one
+    after another and doc goes to --out + sidecar.  A NaN or infinite value
+    in doc raises ValueError before anything is written."""
     text = json.dumps(doc, indent=2, sort_keys=True, default=str, allow_nan=False) + "\n"
     if not args.out:
         sys.stdout.write(text)
         return
     out = Path(args.out)
     if artifact is not None:
-        out.write_bytes(artifact)
+        with out.open("wb") as fh:
+            fh.writelines(artifact)
         out = Path(f"{out}{sidecar}")
     out.write_text(text)
 
@@ -279,7 +285,9 @@ def cmd_build_hat(args) -> int:
     hat = build_hat(_hat_params(cfg))
     report = verify_hat(hat, num_points=cfg["points"], seed=args.seed or 0)
     report["config"] = cfg
-    _write(args, report, serialize(hat.network) if args.out else None, sidecar=".verify.json")
+    # encode checks the weights before --out is opened; the pieces go
+    # straight to the file
+    _write(args, report, encode(hat.network) if args.out else None, sidecar=".verify.json")
     return 0 if report["pass"] else 1
 
 
@@ -382,7 +390,7 @@ def _sweep_command(args, m_list: list[int], run) -> int:
     )
     envelope = json.loads(report.to_json())
     envelope["config"] = {**cfg, "gamma": gamma, "m_list": m_list}
-    csv = report.to_csv().encode() if (args.format or "csv") == "csv" else None
+    csv = [report.to_csv().encode()] if (args.format or "csv") == "csv" else None
     _write(args, envelope, csv)
     return 0 if report.passed else 1
 

@@ -279,21 +279,13 @@ class BuiltHat:
         bias2 = np.choose(kind, [c["b21"], c["b22"], c["b23"]])
         b2 = SparseVector.from_dense(bias2)
 
-        # layer 3: three shifted copies of the averaged bump sum + the scale row
-        rows, cols, vals = [], [], []
-        for i in range(3):
-            for k, v in ((0, c["inv"]), (1, -c["inv"])):
-                rows.append(np.full(n8 * d, i))
-                cols.append(rr[kind == k])
-                vals.append(np.full(n8 * d, v))
-        rows.append(np.full(n8 * d, 3))
-        cols.append(rr[kind == 2])
-        vals.append(np.full(n8 * d, 1.0))
+        # layer 3: three shifted copies of the averaged bump sum (+inv on the
+        # bump rows, -inv on the floor rows) + the scale row
         a3 = SparseMatrix(
             (4, 3 * n8 * d),
-            np.concatenate(rows),
-            np.concatenate(cols),
-            np.concatenate(vals),
+            np.repeat(np.arange(4), [2 * n8 * d] * 3 + [n8 * d]),
+            np.concatenate([rr[0::3], rr[1::3]] * 3 + [rr[2::3]]),
+            np.repeat([c["inv"], -c["inv"]] * 3 + [1.0], n8 * d),
         )
         b3 = SparseVector.from_dense([0.0, c["b32"], c["b33"], 0.0])
 
@@ -352,14 +344,20 @@ class BuiltHat:
         """Accurate realization of the stored network (gain * bump channel).
 
         Raises ValueError once the gain reaches about 2**1020, where the
-        output and the differences taken of it overflow double precision."""
-        g = self.gain
-        if g.numerator.bit_length() - g.denominator.bit_length() >= 1020:
+        output and the differences taken of it overflow double precision.  A
+        gain far past that is rejected on its log2 taken in floats, before
+        the exact power, of about 2**(L + 5) bits, is formed."""
+        c, p = self._constants, self.params
+        log2_gain = math.log2(c["h"]) + 2.0 ** (p.L - 4) * (
+            8 * math.log2(p.n) + math.log2(c["d"]) + 2 * math.log2(c["b23"])
+        )
+        if log2_gain < 1100:
+            g = self.gain
+            if g.numerator.bit_length() - g.denominator.bit_length() < 1020:
+                return self.bump_channel(x) * float(g)
             log2_gain = math.log2(g.numerator) - math.log2(g.denominator)
-            raise ValueError(
-                f"the network's gain 2**{log2_gain:.1f} is too large for double precision"
-            )
-        return self.bump_channel(x) * float(g)
+        text = f"{log2_gain:.1f}" if log2_gain < 1e6 else f"{log2_gain:.3g}"
+        raise ValueError(f"the network's gain 2**{text} is too large for double precision")
 
     def closed_form(self, x):
         """amplitude * vartheta_{M,y}(x), the target of the construction."""
@@ -529,8 +527,12 @@ def scaled_unit_ball_bump(
             RuntimeWarning,
         )
     log2_c1 = float(log_ratio[best])
-    c1 = float(np.exp2(log2_c1))
-    kappa = min(((16 * d + 7 * L) * (2 * n0) ** 8) ** (-alpha), float(np.exp2(-log2_c1)))
+    c1 = float(np.exp2(log2_c1)) if log2_c1 < 1024 else math.inf
+    # the first term is at most 1, so clamping the exponent at 0 (no
+    # overflow) leaves the minimum as it is
+    kappa = min(
+        ((16 * d + 7 * L) * (2 * n0) ** 8) ** (-alpha), float(np.exp2(-max(log2_c1, 0.0)))
+    )
     n = n0 * math.ceil(M ** (8.0 / (8.0 * alpha + gamma)))
     amplitude = kappa * M ** (-64.0 * alpha / (8.0 * alpha + gamma))
     if not 0.0 < amplitude <= 1.0:

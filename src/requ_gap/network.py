@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -247,7 +247,10 @@ class NeuralNetwork:
 
 
 def realize(net: NeuralNetwork, x) -> np.ndarray:
-    """Evaluate the network at x (shape (d,) -> (d_out,) or (k, d) -> (k, d_out))."""
+    """Evaluate the network at x (shape (d,) -> (d_out,) or (k, d) -> (k, d_out)).
+
+    A hidden value beyond about 2**512 squares to inf, as IEEE arithmetic
+    gives it, without a warning."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     pts = x[None, :] if single else x
@@ -261,7 +264,8 @@ def realize(net: NeuralNetwork, x) -> np.ndarray:
     for k, layer in enumerate(net.layers):
         z = layer.weights.matmul_points(z) + layer.bias.to_dense()
         if k != last:
-            z = np.maximum(0.0, z) ** 2
+            with np.errstate(over="ignore"):
+                z = np.maximum(0.0, z) ** 2
     return z[0] if single else z
 
 
@@ -356,7 +360,17 @@ class GrowthPolicy:
             narr = np.asarray(n, dtype=np.float64)
             if np.any(narr < 1):
                 raise ValueError("n must be >= 1")
-            raw = self.scale * narr**self.theta_c * np.log(2.0 * narr) ** self.kappa_c
+            # a limit beyond the float range is inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                raw = self.scale * narr**self.theta_c * np.log(2.0 * narr) ** self.kappa_c
+                # n**theta_c overflowed and log(2n)**kappa_c underflowed
+                # (inf * 0): the sum of the factors' logs gives the product
+                if np.isnan(raw).any():
+                    log_raw = (
+                        math.log(self.scale) + self.theta_c * np.log(narr)
+                        + self.kappa_c * np.log(np.log(2.0 * narr))
+                    )
+                    raw = np.where(np.isnan(raw), np.exp(log_raw), raw)
             out = np.maximum(1.0, np.ceil(raw))
             return float(out) if np.isscalar(n) else out
         if np.isscalar(n):
@@ -589,23 +603,25 @@ def eliminate_dead_layers(net: NeuralNetwork) -> NeuralNetwork:
 _RECORDS_PER_BLOCK = 1 << 15
 
 
-def _records(pieces: list, columns: Sequence[np.ndarray], vals: np.ndarray) -> None:
-    """Append to pieces the bytes json.dumps writes for the list of records
-    zip(*columns, vals): non-negative integer columns, finite float values.
+def _records(columns: Sequence[np.ndarray], vals: np.ndarray) -> Iterator[bytes]:
+    """Yield, a block of _RECORDS_PER_BLOCK records at a time, the bytes
+    json.dumps writes for the list of records zip(*columns, vals):
+    non-negative integer columns, finite float values.
 
-    A block of records is a NUL-padded uint8 matrix, a record per row, laid
-    out as '[' fields joined by ', ' ']'.  Index digits are written column by
-    column, leading zeros left NUL.  A value's text is repr of its float (what
+    A block is a NUL-padded uint8 matrix, a record per row, laid out as '['
+    fields joined by ', ' ']'.  Index digits are written column by column,
+    leading zeros left NUL.  A value's text is repr of its float (what
     json.dumps writes), taken from a table with a row per distinct bit
-    pattern, so 0.0 and -0.0 keep their own text.  Dropping the NULs gives
-    the records."""
+    pattern, so 0.0 and -0.0 keep their own text; a block finds its rows by
+    binary search in the sorted patterns.  Dropping the NULs gives the
+    records."""
     if not vals.size:
-        pieces.append(b"[]")
+        yield b"[]"
         return
-    bits, inverse = np.unique(vals.view(np.int64), return_inverse=True)
+    bits = np.unique(vals.view(np.int64))
     texts = np.array([repr(v).encode() for v in bits.view(np.float64).tolist()])
     table = texts.view(np.uint8).reshape(bits.size, -1)
-    pieces.append(b"[")
+    yield b"["
     for s in range(0, vals.size, _RECORDS_PER_BLOCK):
         ints = [c[s : s + _RECORDS_PER_BLOCK] for c in columns]
         widths = [len(str(c.max())) for c in ints] + [table.shape[1]]
@@ -618,34 +634,50 @@ def _records(pieces: list, columns: Sequence[np.ndarray], vals: np.ndarray) -> N
                 # a digit is a leading zero when it and all above it are 0
                 block[:, k] = np.where((q + r > 0) | (k == start + w - 1), r + 48, 0)
             start += w + 2
-        block[:, start : start + widths[-1]] = table[inverse[s : s + _RECORDS_PER_BLOCK]]
+        found = np.searchsorted(bits, vals[s : s + _RECORDS_PER_BLOCK].view(np.int64))
+        block[:, start : start + widths[-1]] = table[found]
+        if s + _RECORDS_PER_BLOCK >= vals.size:
+            block[-1, -2:] = 0  # the last record's ', '
         flat = block.ravel()
-        pieces.append(flat[flat != 0].tobytes())
-    pieces[-1] = pieces[-1][:-2]  # the last record's ', '
-    pieces.append(b"]")
+        yield flat[flat != 0].tobytes()
+    yield b"]"
+
+
+def encode(net: NeuralNetwork) -> Iterator[bytes]:
+    """The bytes of serialize(net) as a generator of pieces, most of them
+    blocks of _RECORDS_PER_BLOCK records, so that a caller can write or
+    compare the encoding without holding all of it.
+
+    Every layer is checked first: a NaN or infinite weight or bias raises
+    NetworkError here, before any piece is produced."""
+    for k, layer in enumerate(net.layers):
+        if not (np.isfinite(layer.weights.vals).all() and np.isfinite(layer.bias.vals).all()):
+            raise NetworkError(f"layer {k + 1}: a weight or bias is not finite")
+    return _pieces(net)
+
+
+def _pieces(net: NeuralNetwork) -> Iterator[bytes]:
+    yield f'{{"input_dim": {net.input_dim}, "layers": ['.encode()
+    for k, layer in enumerate(net.layers):
+        w, b = layer.weights, layer.bias
+        sep = ", " if k else ""
+        yield f'{sep}{{"rows": {layer.out_dim}, "cols": {layer.in_dim}, "entries": '.encode()
+        yield from _records((w.rows, w.cols), w.vals)
+        yield b', "bias": '
+        yield from _records((b.idx,), b.vals)
+        yield b"}"
+    yield b"]}"
 
 
 def serialize(net: NeuralNetwork) -> bytes:
-    """Encode as UTF-8 JSON with full double round-trip precision.
+    """Encode as UTF-8 JSON with full double round-trip precision: the
+    pieces of encode(net), joined.
 
     The bytes are those json.dumps writes for {"input_dim": d, "layers":
     [{"rows": r, "cols": c, "entries": [[i, j, w], ...], "bias": [[i, b],
     ...]}, ...]}, with entries and biases in stored order.  A NaN or infinite
     weight or bias, which strict JSON cannot hold, raises NetworkError."""
-    pieces = [f'{{"input_dim": {net.input_dim}, "layers": ['.encode()]
-    for k, layer in enumerate(net.layers):
-        w, b = layer.weights, layer.bias
-        if not (np.isfinite(w.vals).all() and np.isfinite(b.vals).all()):
-            raise NetworkError(f"layer {k + 1}: a weight or bias is not finite")
-        sep = ", " if k else ""
-        head = f'{sep}{{"rows": {layer.out_dim}, "cols": {layer.in_dim}, "entries": '
-        pieces.append(head.encode())
-        _records(pieces, (w.rows, w.cols), w.vals)
-        pieces.append(b', "bias": ')
-        _records(pieces, (b.idx,), b.vals)
-        pieces.append(b"}")
-    pieces.append(b"]}")
-    return b"".join(pieces)
+    return b"".join(encode(net))
 
 
 def _reject_constant(name: str):
@@ -768,14 +800,24 @@ def stored_as(data: bytes, net: NeuralNetwork) -> bool:
 
     When every weight of net is finite and nonzero, reading the bytes
     serialize writes for net gives net back, so data equal to them is
-    accepted without parsing.  Any other data is parsed and compared, and so
-    is any data when net stores a zero weight, which reading drops."""
+    accepted without parsing.  data is compared with the pieces of encode(net)
+    as they are produced, so the whole encoding is never held; the comparison
+    stops at the first piece that differs.  Any other data is parsed and
+    compared, and so is any data when net stores a zero weight, which reading
+    drops."""
     exact = all(
         np.isfinite(layer.weights.vals).all()
         and np.isfinite(layer.bias.vals).all()
         and (layer.weights.vals != 0.0).all()
         for layer in net.layers
     )
-    if exact and data == serialize(net):
-        return True
+    if exact:
+        at = 0
+        for piece in encode(net):
+            if not data.startswith(piece, at):
+                break
+            at += len(piece)
+        else:
+            if at == len(data):
+                return True
     return identical(deserialize(data), net)

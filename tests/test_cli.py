@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -75,6 +76,24 @@ class TestBuildHat:
         out = tmp_path / "hat.json"
         assert run(["build-hat", "--M", "2", "--scale", "256", *argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_non_finite_weight_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        materialize = BuiltHat._materialize
+
+        def with_inf(hat):
+            net = materialize(hat)
+            last = net.layers[-1]
+            w = last.weights
+            inf = network.SparseMatrix(w.shape, w.rows, w.cols, np.full(w.nnz, np.inf))
+            return network.NeuralNetwork(net.layers[:-1] + (network.Layer(inf, last.bias),))
+
+        monkeypatch.setattr(BuiltHat, "_materialize", with_inf)
+        # a finite report, so that only the network stops the write
+        monkeypatch.setattr(cli, "verify_hat", lambda hat, **kwargs: {"pass": True})
+        out = tmp_path / "hat.json"
+        assert run(["build-hat", "--M", "2", "--out", str(out)]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerifyHat:
@@ -155,7 +174,7 @@ class TestVerifyHat:
 
     @staticmethod
     def _count_codec_calls(monkeypatch) -> dict:
-        calls = {"serialize": 0, "deserialize": 0}
+        calls = {"encode": 0, "deserialize": 0}
         for name in calls:
             original = getattr(network, name)
 
@@ -171,7 +190,7 @@ class TestVerifyHat:
         assert run(["build-hat", "--M", "2", "--out", str(out)]) == 0
         calls = self._count_codec_calls(monkeypatch)
         assert run(["verify-hat", "--M", "2", "--network", str(out)]) == 0
-        assert calls == {"serialize": 1, "deserialize": 0}
+        assert calls == {"encode": 1, "deserialize": 0}
 
     def test_each_command_materializes_the_hat_once(self, tmp_path, monkeypatch):
         calls = []
@@ -504,6 +523,15 @@ class TestInvalidInput:
         "build-hat-d-1e9": ["build-hat"],
         "verify-hat-d-above-middle-rows": ["verify-hat"],
         "lipschitz-d-above-batch": ["lipschitz"],
+        "build-hat-L-1024": ["build-hat", "--L", "1024", "--depth-cap", "inf"],
+        "hardness-depth-cap-1024": ["hardness", "--depth-cap", "1024"],
+        "rates-depth-cap-1024": ["rates", "--depth-cap", "1024"],
+        "build-hat-gain-far-past-double": [
+            "build-hat", "--L", "40", "--scale", "256", "--depth-cap", "40", "--M", "2",
+        ],
+        "lipschitz-gain-far-past-double": [
+            "lipschitz", "--L", "40", "--scale", "256", "--depth-cap", "40", "--M", "2",
+        ],
     }
 
     # the --config file of a case, for keys that have no flag
@@ -611,6 +639,11 @@ class TestInvalidInput:
         "build-hat-d-1e9": "d must be an integer in [1, 838] with points=10000",
         "verify-hat-d-above-middle-rows": "d must be an integer in [1, 1333333] with points=1",
         "lipschitz-d-above-batch": "d must be an integer in [1, 289] with samples=100",
+        "build-hat-L-1024": "L must be an integer in [1, 1023], got 1024",
+        "hardness-depth-cap-1024": 'depth_cap must be an integer in [1, 1023] or "inf"',
+        "rates-depth-cap-1024": 'depth_cap must be an integer in [1, 1023] or "inf"',
+        "build-hat-gain-far-past-double": "gain 2**1.1e+12 is too large",
+        "lipschitz-gain-far-past-double": "gain 2**1.1e+12 is too large",
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -629,6 +662,15 @@ class TestInvalidInput:
         for text in [captured.out, captured.err, *written]:
             for word in ("Traceback", "NaN", "Infinity"):
                 assert word not in text
+
+    @pytest.mark.parametrize(
+        "case", ["build-hat-gain-far-past-double", "lipschitz-gain-far-past-double"]
+    )
+    def test_gain_far_past_double_is_rejected_at_once(self, case, tmp_path):
+        # the exact gain would have about 2**45 bits
+        start = time.perf_counter()
+        assert main(self.CASES[case] + ["--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("argv", [[], ["frob"]])
     def test_missing_or_unknown_command_exits_2(self, argv, capsys):

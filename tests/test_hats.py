@@ -1,6 +1,7 @@
 """Tests for bump functions, explicit hat networks, and unit-ball scaling."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -308,6 +309,15 @@ class TestUnitBallScaling:
         g, cert = scaled_unit_ball_bump(1.0, 1.0, 1.0, (0.5,), POLICY5)
         assert g.amplitude == pytest.approx(cert.kappa)
 
+    def test_vanishing_supremum_raises_no_overflow_warning(self):
+        # log2 C1 is far below -1024 here, and 2**-log2(C1) is no double
+        pol = GrowthPolicy(kind="parametric", scale=256, depth_cap=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, cert = scaled_unit_ball_bump(1.0, 100.0, 2.0, (0.5,), pol)
+        assert cert.C1 == 0.0
+        assert cert.kappa == ((16 + 7 * cert.L) * (2 * cert.n0) ** 8) ** -1.0
+
     def test_width_scaling_ratio(self):
         g1, _ = scaled_unit_ball_bump(1.0, 1.0, 1.0, (0.5,), POLICY5)
         g16, _ = scaled_unit_ball_bump(1.0, 1.0, 16.0, (0.5,), POLICY5)
@@ -337,7 +347,6 @@ class TestUnitBallScaling:
         on_boundary=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_certified_depth_keeps_gamma_below_its_allowance(
         self, theta, scale, cap, gamma, k, on_boundary
     ):

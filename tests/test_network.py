@@ -1,6 +1,8 @@
 """Tests for the sparse network data model and structural operations."""
 
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +68,12 @@ class TestRealize:
     def test_activation_squares(self):
         net = net_from_dense(([[1.0]], [0.0]), ([[1.0]], [0.0]))
         assert realize(net, np.array([3.0]))[0] == 9.0
+
+    def test_far_bump_squares_to_inf_without_a_warning(self):
+        # (y - x)**2 overflows; the next layer's ReQU of -inf gives 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert realize(lambda_network(1.0, 1e300), np.array([0.5]))[0] == 0.0
 
     def test_batch_shape(self):
         net = net_from_dense(([[1.0, 2.0]], [0.5]))
@@ -468,6 +476,17 @@ class TestWireFormat:
         )
         net = NeuralNetwork((layer,))
         assert serialize(net) == json_dumps_encoder(net)
+        pieces = list(network.encode(net))
+        assert b"".join(pieces) == serialize(net)
+        # no piece holds more than a block of records
+        assert max(piece.count(b"[") for piece in pieces) <= network._RECORDS_PER_BLOCK
+
+    def test_encode_rejects_a_non_finite_last_layer_before_any_piece(self):
+        first = Layer(SparseMatrix((1, 1), [0], [0], [2.0]), SparseVector(1, [], []))
+        last = Layer(SparseMatrix((1, 1), [0], [0], [np.inf]), SparseVector(1, [], []))
+        # encode raises when called, not when its first piece is asked for
+        with pytest.raises(NetworkError, match="layer 2"):
+            network.encode(NeuralNetwork((first, last)))
 
     def test_empty_entries_next_to_bias(self):
         layer = Layer(SparseMatrix((2, 3), [], [], []), SparseVector(2, [1], [0.5]))
@@ -631,6 +650,56 @@ class TestStoredAs:
         with pytest.raises(ParseError):
             stored_as(serialize(net)[:-1], net)
 
+    @staticmethod
+    def _three_block_net() -> NeuralNetwork:
+        count = 3 * network._RECORDS_PER_BLOCK
+        rows = np.arange(count)
+        return one_layer(
+            SparseMatrix((count, 1), rows, np.zeros(count, np.int64), 0.5 * (rows + 1)),
+            SparseVector(count, [], []),
+        )
+
+    def _edits(self, net):
+        """The bytes of net with trailing whitespace, and with its middle
+        block of records given extra whitespace or one value changed."""
+        data = serialize(net)
+        pieces = list(network.encode(net))
+        blocks = [k for k, piece in enumerate(pieces) if piece.count(b"[") > 1]
+        assert len(blocks) == 3
+        k = blocks[1]
+        at = sum(map(len, pieces[:k]))
+        middle = pieces[k]
+        end = middle.index(b"]")  # the end of the block's first record
+        yield data + b"\n "
+        yield data[:at] + middle.replace(b", ", b",  ", 1) + data[at + len(middle) :]
+        yield data[:at] + middle[:end] + b"1" + data[at + end :]
+
+    def test_edited_bytes_give_what_parsing_gives(self):
+        net = self._three_block_net()
+        for data, parsed in zip(self._edits(net), [True, True, False]):
+            assert stored_as(data, net) == identical(deserialize(data), net) == parsed
+
+    def test_matching_bytes_are_compared_without_a_whole_copy(self):
+        # the n=4, L=7 hat of the benchmark: 720,938 weights, 18.2 MB
+        params = HatBuildParams(
+            n=4,
+            L=7,
+            C=2.0,
+            spec=BumpSpec(d=1, M=2.0, y=(0.5,)),
+            policy=GrowthPolicy(scale=256, depth_cap=7),
+        )
+        net = build_hat_network(params)
+        data = serialize(net)
+        tracemalloc.start()
+        try:
+            assert stored_as(data, net)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # data and net were made before tracing began, so peak is what
+        # stored_as allocated
+        assert peak < len(data) / 2
+
 
 def matmul_loop(m: SparseMatrix, pts: np.ndarray) -> np.ndarray:
     """Each output adds its row's products to 0.0 in (row, col) order: the
@@ -708,6 +777,16 @@ class TestGrowthPolicy:
         assert pol.c(1) == max(1, np.ceil(1 * np.log(2.0)))
         assert pol.c(10) == np.ceil(10 * 1.0) if pol.kappa_c == 0 else pol.c(10)
         assert pol.ell(3) == 5
+
+    def test_c_beyond_the_float_range_is_inf_without_a_warning(self):
+        n = np.arange(1, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # log(2)**1e300 underflows to 0, so c(1) is the floor 1
+            assert list(GrowthPolicy(kappa_c=1e300).c(n)) == [1.0] + [np.inf] * 3
+            assert GrowthPolicy(kappa_c=-1e300).c(1) == np.inf
+            # n**1e300 overflows and log(2n)**-1e300 underflows: inf * 0
+            assert list(GrowthPolicy(theta_c=1e300, kappa_c=-1e300).c(n)) == [np.inf] * 4
 
     def test_c_non_decreasing(self):
         pol = GrowthPolicy(kind="parametric", theta_c=0.5, kappa_c=1.0, depth_cap=6)
