@@ -1,5 +1,6 @@
 """Tests for the sparse network data model and structural operations."""
 
+import hashlib
 import json
 import tracemalloc
 import warnings
@@ -270,6 +271,43 @@ class TestSumNetworks:
         b = net_from_dense(([[1.0]], [0.0]))
         with pytest.raises(NetworkError):
             sum_networks(a, b)
+
+
+class TestStructureIsPinned:
+    """The stored order of summed and extended networks, byte for byte."""
+
+    PINNED = {
+        "sum-check-default": (
+            lambda: sum_networks(
+                depth_extend(lambda_network(1.0, 0.25), 5), lambda_network(2.0, 0.75)
+            ),
+            "0629c015eb3b2605dde1333bac9d8b1850c3cf53a850c17f840c3398202b3ab6",
+        ),
+        # weight and bias cancel, so the summed layer stores fewer entries
+        "sum-depth-1-cancelling": (
+            lambda: sum_networks(
+                net_from_dense(([[2.0, 1.0]], [1.0])), net_from_dense(([[-2.0, 0.5]], [-1.0]))
+            ),
+            "0e1a180ebeabf07db3054c2c6ae191b201834122cd79b3d45b106f021ee73809",
+        ),
+        "sum-unequal-depths": (
+            lambda: sum_networks(net_from_dense(([[0.5]], [0.0])), lambda_network(1.0, 0.5)),
+            "d48fea05d6ff14845672fcd383ade71f9e16e9fb380d677a30dbd24c00355eac",
+        ),
+        "extend-depth-1": (
+            lambda: depth_extend(net_from_dense(([[0.5, -0.25]], [0.125])), 4),
+            "0783e35d7833afe01f80af8f74fb41496a40cf39545fd9b1d21d99754b2f6999",
+        ),
+        "extend-lambda": (
+            lambda: depth_extend(lambda_network(4.0, 0.5), 6),
+            "068b4bb7ee5502232b95e8578bef827ef4152b4e285f2908be02d523722da21b",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", PINNED)
+    def test_bytes_are_pinned(self, case):
+        build, digest = self.PINNED[case]
+        assert hashlib.sha256(serialize(build())).hexdigest() == digest
 
 
 class TestEliminateDeadLayers:
