@@ -114,36 +114,6 @@ class SparseMatrix:
         return out.reshape(self.shape[0], k).T
 
 
-def _hstack(blocks: Sequence[SparseMatrix]) -> SparseMatrix:
-    nrows = blocks[0].shape[0]
-    if any(b.shape[0] != nrows for b in blocks):
-        raise NetworkError("hstack requires equal row counts")
-    offs = np.cumsum([0] + [b.shape[1] for b in blocks])
-    rows = np.concatenate([b.rows for b in blocks])
-    cols = np.concatenate([b.cols + o for b, o in zip(blocks, offs)])
-    vals = np.concatenate([b.vals for b in blocks])
-    return SparseMatrix((nrows, int(offs[-1])), rows, cols, vals)
-
-
-def _vstack(blocks: Sequence[SparseMatrix]) -> SparseMatrix:
-    ncols = blocks[0].shape[1]
-    if any(b.shape[1] != ncols for b in blocks):
-        raise NetworkError("vstack requires equal column counts")
-    offs = np.cumsum([0] + [b.shape[0] for b in blocks])
-    rows = np.concatenate([b.rows + o for b, o in zip(blocks, offs)])
-    cols = np.concatenate([b.cols for b in blocks])
-    vals = np.concatenate([b.vals for b in blocks])
-    return SparseMatrix((int(offs[-1]), ncols), rows, cols, vals)
-
-
-def _block_diag(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    shape = (a.shape[0] + b.shape[0], a.shape[1] + b.shape[1])
-    rows = np.concatenate([a.rows, b.rows + a.shape[0]])
-    cols = np.concatenate([a.cols, b.cols + a.shape[1]])
-    vals = np.concatenate([a.vals, b.vals])
-    return SparseMatrix(shape, rows, cols, vals)
-
-
 @dataclass(frozen=True)
 class SparseVector:
     """Immutable sparse vector (bias storage)."""
@@ -457,6 +427,33 @@ def _monitor_boundedness(net, domain, op, samples=64, seed=0):
         )
 
 
+def _parallel(a: Layer, b: Layer, stack_out: bool, stack_in: bool) -> Layer:
+    """The layer that applies a and b side by side.
+
+    With stack_out, b's outputs come after a's, else the two outputs are
+    added; with stack_in, b reads the inputs after a's, else both read the
+    same inputs.  The entries are a's then b's, each in stored order; when
+    neither side is stacked the two matrices are added densely and stored in
+    row-major order without zeros.  The bias is stored as
+    SparseVector.from_dense stores it."""
+    wa, wb = a.weights, b.weights
+    row_off = wa.shape[0] if stack_out else 0
+    col_off = wa.shape[1] if stack_in else 0
+    shape = (row_off + wb.shape[0], col_off + wb.shape[1])
+    if stack_out or stack_in:
+        weights = SparseMatrix(
+            shape,
+            np.concatenate([wa.rows, wb.rows + row_off]),
+            np.concatenate([wa.cols, wb.cols + col_off]),
+            np.concatenate([wa.vals, wb.vals]),
+        )
+    else:
+        weights = SparseMatrix.from_dense(wa.to_dense() + wb.to_dense())
+    ba, bb = a.bias.to_dense(), b.bias.to_dense()
+    bias = np.concatenate([ba, bb]) if stack_out else ba + bb
+    return Layer(weights, SparseVector.from_dense(bias))
+
+
 # identity-passthrough gadget pair: maps (f+1, 1-f) through one activation
 _GAMMA = Layer(
     SparseMatrix.from_dense([[0.25, -0.25], [-0.25, 0.25]]),
@@ -475,7 +472,9 @@ def depth_extend(net: NeuralNetwork, target_depth: int, *, check_domain=None) ->
     [-1, 1] (caller-asserted; pass ``check_domain=(lo, hi)`` for a sampled
     runtime check).  The encoding routes the pair (f+1, 1-f) through identity
     gadgets and decodes at the end, so the weight count at most doubles plus
-    6 per inserted gadget layer."""
+    6 per inserted gadget layer.  The layer that emits the pair stacks the
+    final layer over its negation (_parallel); below depth 2 the 1 is a
+    bias, else a constant-one channel that the layer before it gains."""
     if net.output_dim != 1:
         raise NetworkError("depth_extend requires output_dim == 1")
     k = net.depth()
@@ -486,30 +485,26 @@ def depth_extend(net: NeuralNetwork, target_depth: int, *, check_domain=None) ->
     if check_domain is not None:
         _monitor_boundedness(net, check_domain, "depth_extend")
 
+    last = net.layers[k - 1]
+    a, b = last.weights, last.bias.to_dense()
+    neg = SparseMatrix(a.shape, a.rows, a.cols, -a.vals)
     if k == 1:
         # single affine layer: emit (f+1, 1-f) directly
-        (lay,) = net.layers
-        a, b = lay.weights, lay.bias.to_dense()
-        enc_w = _vstack([a, SparseMatrix((1, a.shape[1]), -a.rows, a.cols, -a.vals)])
-        enc_b = SparseVector.from_dense(np.concatenate([b + 1.0, 1.0 - b]))
-        head = [Layer(enc_w, enc_b)]
+        plus = Layer(a, SparseVector.from_dense(b + 1.0))
+        minus = Layer(neg, SparseVector.from_dense(1.0 - b))
+        head = []
         n_gadgets = target_depth - 2
     else:
-        head = list(net.layers[: k - 2])
         # widen layer k-1 with a constant-one channel
         pen = net.layers[k - 2]
-        wide_w = _vstack([pen.weights, SparseMatrix((1, pen.in_dim), [], [], [])])
-        wide_b = SparseVector.from_dense(np.append(pen.bias.to_dense(), 1.0))
-        head.append(Layer(wide_w, wide_b))
-        # final original layer, duplicated with signs, consuming the 1-channel
-        last = net.layers[k - 1]
-        a, b = last.weights, float(last.bias.to_dense()[0])
-        neg = SparseMatrix((1, a.shape[1]), a.rows, a.cols, -a.vals)
-        ones = SparseMatrix.from_dense([[1.0]])
-        enc_w = _vstack([_hstack([a, ones]), _hstack([neg, ones])])
-        enc_b = SparseVector.from_dense([b, -b])
-        head.append(Layer(enc_w, enc_b))
+        constant = Layer(SparseMatrix((1, pen.in_dim), [], [], []), SparseVector.from_dense([1.0]))
+        head = [*net.layers[: k - 2], _parallel(pen, constant, True, False)]
+        # the final original layer, duplicated with signs, adds that channel
+        add_one = Layer(SparseMatrix.from_dense([[1.0]]), SparseVector(1, [], []))
+        plus = _parallel(last, add_one, False, True)
+        minus = _parallel(Layer(neg, SparseVector.from_dense(-b)), add_one, False, True)
         n_gadgets = target_depth - k - 1
+    head.append(_parallel(plus, minus, True, False))
 
     layers = head + [_GAMMA] * n_gadgets + [_LAMBDA]
     return NeuralNetwork(tuple(layers))
@@ -521,7 +516,9 @@ def sum_networks(net1: NeuralNetwork, net2: NeuralNetwork, *, check_domain=None)
     Both realizations must be bounded in [-1, 1] on the intended domain
     (needed only when the depths differ, for the equalization gadgets).
     The result has depth max(L1, L2) and at most 9 * max(W1, W2) weights
-    for non-degenerate depths."""
+    for non-degenerate depths.  Layer k of the sum is _parallel of the two
+    layers k: every layer but the last stacks the outputs, every layer but
+    the first stacks the inputs, so a depth-1 sum adds the two layers."""
     if net1.input_dim != net2.input_dim:
         raise NetworkError(
             f"input dims differ: {net1.input_dim} != {net2.input_dim}"
@@ -533,42 +530,10 @@ def sum_networks(net1: NeuralNetwork, net2: NeuralNetwork, *, check_domain=None)
     if net1.depth() < net2.depth():
         net1 = depth_extend(net1, net2.depth(), check_domain=check_domain)
     ell = net1.depth()
-
-    if ell == 1:
-        a = _merge_rows(net1.layers[0].weights, net2.layers[0].weights)
-        b = SparseVector.from_dense(
-            net1.layers[0].bias.to_dense() + net2.layers[0].bias.to_dense()
-        )
-        return NeuralNetwork((Layer(a, b),))
-
-    first = Layer(
-        _vstack([net1.layers[0].weights, net2.layers[0].weights]),
-        SparseVector.from_dense(
-            np.concatenate(
-                [net1.layers[0].bias.to_dense(), net2.layers[0].bias.to_dense()]
-            )
-        ),
-    )
-    mids = [
-        Layer(
-            _block_diag(l1.weights, l2.weights),
-            SparseVector.from_dense(
-                np.concatenate([l1.bias.to_dense(), l2.bias.to_dense()])
-            ),
-        )
-        for l1, l2 in zip(net1.layers[1:-1], net2.layers[1:-1])
-    ]
-    l1, l2 = net1.layers[-1], net2.layers[-1]
-    last = Layer(
-        _hstack([l1.weights, l2.weights]),
-        SparseVector.from_dense(l1.bias.to_dense() + l2.bias.to_dense()),
-    )
-    return NeuralNetwork(tuple([first] + mids + [last]))
-
-
-def _merge_rows(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    dense = a.to_dense() + b.to_dense()
-    return SparseMatrix.from_dense(dense)
+    return NeuralNetwork(tuple(
+        _parallel(l1, l2, k < ell - 1, k > 0)
+        for k, (l1, l2) in enumerate(zip(net1.layers, net2.layers))
+    ))
 
 
 def eliminate_dead_layers(net: NeuralNetwork) -> NeuralNetwork:
