@@ -347,9 +347,9 @@ def cmd_lipschitz(args) -> int:
     ratio_log2 = (math.log2(emp) - bound.log2) if emp > 0 else -math.inf
     payload = {
         "config": cfg,
-        "bound_log2": bound.log2,
-        # null for an overflowing bound (see "overflow") and for the
-        # ratio of a zero empirical constant
+        # null for an overflowing bound (see "overflow"), for a log2 past
+        # the float range and for the ratio of a zero empirical constant
+        "bound_log2": _finite_or_none(bound.log2),
         "bound": _finite_or_none(bound.value),
         "overflow": bound.overflow,
         "empirical": emp,

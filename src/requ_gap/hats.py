@@ -45,6 +45,10 @@ LAMBDA2_LIP_FACTOR = 8.0 / (3.0 * math.sqrt(3.0))
 
 _MAX_MIDDLE_ROWS = 4_000_000
 
+# bits of the exact gain, at most; forming 2**24 takes about a second, and
+# each step of L doubles the bits
+_MAX_GAIN_BITS = 1 << 24
+
 
 @dataclass(frozen=True)
 class BumpSpec:
@@ -236,12 +240,19 @@ class BuiltHat:
         """Exact point-independent factor multiplying the bump channel.
 
         Computed in rational arithmetic over the stored double weights, so it
-        is the exact constant the stored network applies."""
+        is the exact constant the stored network applies.  Raises ValueError,
+        before the power is formed, when it would have more than
+        _MAX_GAIN_BITS bits: a gain near 1 passes the float gate of realize,
+        but at d >= 2 its base has hundreds of bits."""
         c = self._constants
         p = self.params
         u3 = Fraction(c["b23"]) ** 2
         s4 = p.n**8 * c["d"] * u3
         v4 = s4 * s4
+        # bit_length - 1 is floor(log2), so a base of 1 costs nothing
+        bits = (v4.numerator.bit_length() + v4.denominator.bit_length() - 2) << (p.L - 5)
+        if bits > _MAX_GAIN_BITS:
+            raise ValueError(f"the exact gain at L={p.L} would have 2**{math.log2(bits):.1f} bits")
         return Fraction(c["h"]) * v4 ** (2 ** (p.L - 5))
 
     @cached_property

@@ -473,8 +473,8 @@ def depth_extend(net: NeuralNetwork, target_depth: int, *, check_domain=None) ->
     runtime check).  The encoding routes the pair (f+1, 1-f) through identity
     gadgets and decodes at the end, so the weight count at most doubles plus
     6 per inserted gadget layer.  The layer that emits the pair stacks the
-    final layer over its negation (_parallel); below depth 2 the 1 is a
-    bias, else a constant-one channel that the layer before it gains."""
+    final layer over its negation (_parallel); at depth 1 the 1 is a bias,
+    else it is read from a constant-one channel added to the layer before."""
     if net.output_dim != 1:
         raise NetworkError("depth_extend requires output_dim == 1")
     k = net.depth()
@@ -490,10 +490,9 @@ def depth_extend(net: NeuralNetwork, target_depth: int, *, check_domain=None) ->
     neg = SparseMatrix(a.shape, a.rows, a.cols, -a.vals)
     if k == 1:
         # single affine layer: emit (f+1, 1-f) directly
+        head = []
         plus = Layer(a, SparseVector.from_dense(b + 1.0))
         minus = Layer(neg, SparseVector.from_dense(1.0 - b))
-        head = []
-        n_gadgets = target_depth - 2
     else:
         # widen layer k-1 with a constant-one channel
         pen = net.layers[k - 2]
@@ -503,11 +502,8 @@ def depth_extend(net: NeuralNetwork, target_depth: int, *, check_domain=None) ->
         add_one = Layer(SparseMatrix.from_dense([[1.0]]), SparseVector(1, [], []))
         plus = _parallel(last, add_one, False, True)
         minus = _parallel(Layer(neg, SparseVector.from_dense(-b)), add_one, False, True)
-        n_gadgets = target_depth - k - 1
     head.append(_parallel(plus, minus, True, False))
-
-    layers = head + [_GAMMA] * n_gadgets + [_LAMBDA]
-    return NeuralNetwork(tuple(layers))
+    return NeuralNetwork(tuple(head + [_GAMMA] * (target_depth - len(head) - 1) + [_LAMBDA]))
 
 
 def sum_networks(net1: NeuralNetwork, net2: NeuralNetwork, *, check_domain=None) -> NeuralNetwork:

@@ -248,6 +248,14 @@ class TestLipschitz:
         assert doc["pass"]
         assert doc["ratio_log2"] <= 0.0
 
+    def test_bound_log2_past_the_float_range_is_null(self, capsys):
+        # (2**L - 1) / 2 * log2(n) overflows at L = 1023
+        assert run(["lipschitz", "--L", "1023", "--depth-cap", "inf"]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert doc["bound_log2"] is None and doc["overflow"] is True
+        assert "Infinity" not in out
+
 
 class TestSweepCommands:
     def test_hardness_requires_out(self, capsys):
@@ -436,6 +444,14 @@ class TestEnvironment:
         assert done.stdout.strip() == "[]"
 
 
+def without_echoes(err: str, config) -> str:
+    """err without the repr of each value config supplies: a rejected value
+    is echoed, and a string value may read 'NaN'."""
+    for value in config.values() if isinstance(config, dict) else ():
+        err = err.replace(repr(value), "")
+    return err
+
+
 class TestInvalidInput:
     CASES = {
         "hardness-grid-res-0": ["hardness", "--grid-res", "0"],
@@ -532,6 +548,15 @@ class TestInvalidInput:
         "lipschitz-gain-far-past-double": [
             "lipschitz", "--L", "40", "--scale", "256", "--depth-cap", "40", "--M", "2",
         ],
+        "build-hat-gain-near-1-L22": ["build-hat", "--d", "2", "--L", "22", "--depth-cap", "22"],
+        "lipschitz-gain-near-1-L22": ["lipschitz", "--d", "2", "--L", "22", "--depth-cap", "22"],
+        "build-hat-gain-near-1-L1023": [
+            "build-hat", "--d", "2", "--L", "1023", "--depth-cap", "1023",
+        ],
+        "lipschitz-gain-near-1-L1023": [
+            "lipschitz", "--d", "2", "--L", "1023", "--depth-cap", "1023",
+        ],
+        "sum-check-M1-string-NaN": ["sum-check"],
     }
 
     # the --config file of a case, for keys that have no flag
@@ -578,6 +603,7 @@ class TestInvalidInput:
         "build-hat-d-1e9": {"d": 1_000_000_000},
         "verify-hat-d-above-middle-rows": {"d": 1_333_334, "points": 1},
         "lipschitz-d-above-batch": {"d": 83_887, "samples": 100},
+        "sum-check-M1-string-NaN": {"M1": "NaN"},
     }
 
     # what the message must name, where the failure has a specific cause
@@ -644,6 +670,11 @@ class TestInvalidInput:
         "rates-depth-cap-1024": 'depth_cap must be an integer in [1, 1023] or "inf"',
         "build-hat-gain-far-past-double": "gain 2**1.1e+12 is too large",
         "lipschitz-gain-far-past-double": "gain 2**1.1e+12 is too large",
+        "build-hat-gain-near-1-L22": "gain at L=22 would have 2**25.7 bits",
+        "lipschitz-gain-near-1-L22": "gain at L=22 would have 2**25.7 bits",
+        "build-hat-gain-near-1-L1023": "gain at L=1023 would have 2**1026.7 bits",
+        "lipschitz-gain-near-1-L1023": "gain at L=1023 would have 2**1026.7 bits",
+        "sum-check-M1-string-NaN": "M1 must be a finite number in (-inf, 1.157920892373162e+77), got 'NaN'",
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -658,16 +689,24 @@ class TestInvalidInput:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"{argv[0]}: ")
         assert self.NAMED.get(case, "") in captured.err
-        written = [p.read_text() for p in tmp_path.iterdir()]
-        for text in [captured.out, captured.err, *written]:
+        # every file the command wrote, not the config it read
+        written = [p.read_text() for p in tmp_path.iterdir() if p.name != "config.json"]
+        err = without_echoes(captured.err, self.CONFIGS.get(case))
+        for text in [captured.out, err, *written]:
             for word in ("Traceback", "NaN", "Infinity"):
                 assert word not in text
 
     @pytest.mark.parametrize(
-        "case", ["build-hat-gain-far-past-double", "lipschitz-gain-far-past-double"]
+        "case",
+        [
+            "build-hat-gain-far-past-double", "lipschitz-gain-far-past-double",
+            "build-hat-gain-near-1-L22", "lipschitz-gain-near-1-L22",
+            "build-hat-gain-near-1-L1023", "lipschitz-gain-near-1-L1023",
+        ],
     )
     def test_gain_far_past_double_is_rejected_at_once(self, case, tmp_path):
-        # the exact gain would have about 2**45 bits
+        # the exact gain would have about 2**45 bits, or, near 1, more than
+        # 2**24 (_MAX_GAIN_BITS)
         start = time.perf_counter()
         assert main(self.CASES[case] + ["--out", str(tmp_path / "out")]) == 2
         assert time.perf_counter() - start < 1.0
@@ -786,6 +825,6 @@ def test_any_config_value_exits_cleanly(command, data):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith(f"{command}: ")
-    for text in [out.getvalue(), err.getvalue(), *written]:
+    for text in [out.getvalue(), without_echoes(err.getvalue(), config), *written]:
         for word in ("Traceback", "NaN", "Infinity"):
             assert word not in text

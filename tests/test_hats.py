@@ -26,7 +26,14 @@ from requ_gap.hats import (
     verify_hat,
     verify_unit_ball_certificate,
 )
-from requ_gap.network import GrowthPolicy, realize, realize_fraction
+from requ_gap.network import (
+    GrowthPolicy,
+    Layer,
+    NeuralNetwork,
+    SparseVector,
+    realize,
+    realize_fraction,
+)
 
 POLICY5 = GrowthPolicy(kind="parametric", depth_cap=5)
 
@@ -273,6 +280,28 @@ class TestBuildHat:
         pts = 0.5 + rng.uniform(-0.9, 0.9, size=(50, 2))
         exact = np.array([float(realize_fraction(hat.network, p)[0]) for p in pts])
         np.testing.assert_allclose(hat.realize(pts), exact, atol=1e-13)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_realize_agrees_with_exact_rational_pass_at_n2(self, d):
+        # C = 256**(1/8) = 2: 2,836 stored weights at d = 1, 6,172 at d = 2
+        C = choose_amplitude_base(GrowthPolicy(kind="parametric", scale=256.0), 2)
+        hat = build_hat(hat_params(n=2, L=5, C=C, M=2.0, d=d))
+        rng = np.random.default_rng(19)
+        pts = 0.5 + rng.uniform(-0.4, 0.4, size=(4, d))
+
+        def exact(net):
+            return np.array([float(realize_fraction(net, p)[0]) for p in pts])
+
+        amp = hat.amplitude
+        np.testing.assert_allclose(hat.realize(pts), exact(hat.network), rtol=0, atol=1e-13 * amp)
+        # the exact pass reads the stored weights: scaling the bias of
+        # layer-2 row 0 by 1.5 moves it far past rounding
+        layers = list(hat.network.layers)
+        bias = layers[1].bias
+        mutated = SparseVector(bias.size, bias.idx, np.where(bias.idx == 0, 1.5, 1.0) * bias.vals)
+        layers[1] = Layer(layers[1].weights, mutated)
+        moved = np.abs(exact(NeuralNetwork(tuple(layers))) - hat.realize(pts)).max()
+        assert moved > 1e-3 * amp
 
     def test_float64_forward_pass_small_case(self):
         # for tiny gain constants the plain forward pass is also accurate
