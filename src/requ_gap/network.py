@@ -49,7 +49,9 @@ _PRODUCTS_PER_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Immutable COO matrix; duplicate coordinates are rejected."""
+    """Immutable COO matrix; duplicate coordinates are rejected: equal
+    neighbours in one sort of the key rows * span + cols, span = cols.max() + 1,
+    or in a lexsort of (row, column) where that int64 key could overflow."""
 
     shape: tuple[int, int]
     rows: np.ndarray
@@ -67,9 +69,13 @@ class SparseMatrix:
                 raise NetworkError("row index out of range")
             if cols.min(initial=0) < 0 or cols.max(initial=0) >= self.shape[1]:
                 raise NetworkError("column index out of range")
-            order = np.lexsort((cols, rows))
-            r, c = rows[order], cols[order]
-            if ((r[1:] == r[:-1]) & (c[1:] == c[:-1])).any():
+            span = int(cols.max()) + 1
+            if rows.max() < (2**63 - span) // span:
+                ranked = [np.sort(rows * span + cols)]
+            else:
+                order = np.lexsort((cols, rows))
+                ranked = [rows[order], cols[order]]
+            if np.logical_and.reduce([k[1:] == k[:-1] for k in ranked]).any():
                 raise NetworkError("duplicate coordinate in sparse matrix")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -570,33 +576,39 @@ def _records(columns: Sequence[np.ndarray], vals: np.ndarray) -> Iterator[bytes]
     non-negative integer columns, finite float values.
 
     A block is a NUL-padded uint8 matrix, a record per row, laid out as '['
-    fields joined by ', ' ']'.  Index digits are written column by column,
-    leading zeros left NUL.  A value's text is repr of its float (what
-    json.dumps writes), taken from a table with a row per distinct bit
-    pattern, so 0.0 and -0.0 keep their own text; a block finds its rows by
-    binary search in the sorted patterns.  Dropping the NULs gives the
-    records."""
+    fields joined by ', ' ']'.  An index column's digits are a (width,
+    records) plane of repeated divisions by 10, in uint32 when the column's
+    widest index in the block has at most 9 digits, leading zeros NUL, written
+    with one transposed assignment.  A value's text is repr of its float
+    (what json.dumps writes), from an S array with an entry per distinct bit
+    pattern, so 0.0 and -0.0 keep their own text; the patterns are sorted and
+    kept where they differ from their neighbour, and a block finds its texts
+    by binary search in them.  Dropping the NULs gives the records."""
     if not vals.size:
         yield b"[]"
         return
-    bits = np.unique(vals.view(np.int64))
+    bits = np.sort(vals.view(np.int64))
+    bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
     texts = np.array([repr(v).encode() for v in bits.view(np.float64).tolist()])
-    table = texts.view(np.uint8).reshape(bits.size, -1)
     yield b"["
     for s in range(0, vals.size, _RECORDS_PER_BLOCK):
         ints = [c[s : s + _RECORDS_PER_BLOCK] for c in columns]
-        widths = [len(str(c.max())) for c in ints] + [table.shape[1]]
+        widths = [len(str(c.max())) for c in ints] + [texts.itemsize]
         layout = b"[" + b", ".join(b"\0" * w for w in widths) + b"], "
         block = np.tile(np.frombuffer(layout, np.uint8), (len(ints[0]), 1))
         start = 1
         for q, w in zip(ints, widths):
-            for k in range(start + w - 1, start - 1, -1):
-                q, r = np.divmod(q, 10)
-                # a digit is a leading zero when it and all above it are 0
-                block[:, k] = np.where((q + r > 0) | (k == start + w - 1), r + 48, 0)
+            q = q.astype(np.uint32 if w <= 9 else np.int64)
+            digits, rest = np.empty((w, q.size), np.uint8), q
+            for k in range(w - 1, -1, -1):
+                rest, digits[k] = np.divmod(rest, 10)
+            digits += 48
+            # a digit above the number's own is a leading zero
+            digits[:-1] *= q >= 10 ** np.arange(w - 1, 0, -1, dtype=q.dtype)[:, None]
+            block[:, start : start + w] = digits.T
             start += w + 2
         found = np.searchsorted(bits, vals[s : s + _RECORDS_PER_BLOCK].view(np.int64))
-        block[:, start : start + widths[-1]] = table[found]
+        block[:, start : start + widths[-1]] = texts[found].view(np.uint8).reshape(-1, widths[-1])
         if s + _RECORDS_PER_BLOCK >= vals.size:
             block[-1, -2:] = 0  # the last record's ', '
         flat = block.ravel()

@@ -96,7 +96,8 @@ def gamma_numeric(policy: GrowthPolicy, n_max: int) -> tuple[float, float]:
     Fits log2 of max_{L <= ell(n)} c(n)**(2**L - 1) * n**((2**L - 1)/2)
     against [log2 n, log2 log2(2n), 1]; the extra slowly-varying regressor
     absorbs the log factor of policies with kappa_c != 0 so that the leading
-    exponent is recovered cleanly."""
+    exponent is recovered cleanly.  A growth term beyond the float range
+    gives (inf, inf), as gamma_closed_form gives for unbounded depth."""
     if n_max < 100:
         raise ValueError("n_max must be >= 100")
     grid = np.unique(np.geomspace(100, n_max, 400).round()).astype(np.int64)
@@ -105,8 +106,11 @@ def gamma_numeric(policy: GrowthPolicy, n_max: int) -> tuple[float, float]:
         raise ValueError("unbounded depth allowance: the exponent is infinite")
     cvals = np.asarray(policy.c(grid), dtype=np.float64)
     # the inner max over L <= ell(n) is attained at L = ell(n) since c, n >= 1
-    e = 2.0**ells - 1.0
-    y = e * np.log2(cvals) + (e / 2.0) * np.log2(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = 2.0**ells - 1.0
+        y = e * np.log2(cvals) + (e / 2.0) * np.log2(grid)
+    if not np.isfinite(y).all():
+        return (INF, INF)
     if np.allclose(y, y[0]):
         raise ValueError("degenerate policy: growth expression is constant")
     design = np.column_stack(
@@ -179,7 +183,7 @@ def rate_window(alpha: float, d: int, policy: GrowthPolicy) -> RateWindow:
         gamma_flat, gamma_sharp = gamma_closed_form(policy)
     else:
         gamma_flat, gamma_sharp = gamma_numeric(policy, n_max=10_000)
-    # an infinite exponent, or a NaN one from overflowing growth terms: no window
+    # an infinite exponent: no window
     degenerate = not (math.isfinite(gamma_flat) and math.isfinite(gamma_sharp))
     return RateWindow(
         alpha=alpha,

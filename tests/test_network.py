@@ -484,23 +484,26 @@ class TestWireFormat:
             deserialize(doc)
 
     def test_multi_digit_indices(self):
-        # each side of every digit-count step, up to the largest index
-        # deserialize accepts
-        idx = np.array([10**k + e for k in range(16) for e in (-1, 0)] + [2**53 - 1])
-        vals = np.resize(WIRE_VALUES, idx.size)
-        wide = 2**53
-        net = NeuralNetwork(
-            (
-                Layer(
-                    SparseMatrix((wide, 3), idx, idx % 3, vals),
-                    SparseVector(wide, idx[::-1], vals),
-                ),
-                Layer(SparseMatrix((7, wide), idx % 7, idx, -vals), SparseVector(7, [], [])),
+        # each side of every digit-count step up to the block's widest index:
+        # the largest index deserialize accepts, either side of 9 digits, and
+        # 10 digits past 2**32
+        for widest in (2**53 - 1, 10**9 - 1, 10**9, 10**10 - 1):
+            steps = [10**k + e for k in range(16) for e in (-1, 0)]
+            idx = np.array([i for i in steps if i < widest] + [widest])
+            vals = np.resize(WIRE_VALUES, idx.size)
+            wide = 2**53
+            net = NeuralNetwork(
+                (
+                    Layer(
+                        SparseMatrix((wide, 3), idx, idx % 3, vals),
+                        SparseVector(wide, idx[::-1], vals),
+                    ),
+                    Layer(SparseMatrix((7, wide), idx % 7, idx, -vals), SparseVector(7, [], [])),
+                )
             )
-        )
-        data = serialize(net)
-        assert data == json_dumps_encoder(net)
-        assert identical(deserialize(data), without_zero_weights(net))
+            data = serialize(net)
+            assert data == json_dumps_encoder(net)
+            assert identical(deserialize(data), without_zero_weights(net))
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_record_counts_at_block_edges(self, offset):
@@ -647,6 +650,18 @@ class TestDuplicateCoordinates:
         # (1, 2) twice; the row and column values also repeat elsewhere
         with pytest.raises(NetworkError, match="duplicate"):
             SparseMatrix((3, 3), [1, 2, 1, 0], [2, 1, 2, 1], [1.0, 2.0, 3.0, 4.0])
+
+    def test_duplicate_rejected_where_the_sort_key_would_overflow(self):
+        # rows * (cols.max() + 1) + cols would pass 2**63
+        top = 2**53 - 1
+        with pytest.raises(NetworkError, match="duplicate"):
+            SparseMatrix((2**53, 2**53), [top, 0, top], [top, top, top], [1.0, 2.0, 3.0])
+
+    def test_distinct_coordinates_accepted_where_the_sort_key_would_overflow(self):
+        # (top, 0) and (2047, 0) have equal keys modulo 2**64
+        top = 2**53 - 1
+        w = SparseMatrix((2**53, 2**53), [top, 2047, 0, top], [0, 0, top, top], [1.0] * 4)
+        assert w.nnz == 4
 
     def test_duplicate_vector_index_rejected(self):
         with pytest.raises(NetworkError, match="duplicate"):

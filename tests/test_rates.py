@@ -75,6 +75,20 @@ class TestGammaNumeric:
         with pytest.raises(ValueError):
             gamma_numeric(pol, n_max=1000)
 
+    @pytest.mark.parametrize(
+        "ell, c_table",
+        [
+            (2000.0, ((1, 2.0), (300, 4.0))),  # 2**ell overflows
+            (2000.0, ((1, 1.0),)),  # and meets log2 c = 0
+            (1023.0, ((1, 2.0), (300, 4.0))),  # 2**ell is finite, the term is not
+        ],
+    )
+    def test_overflowing_growth_term_gives_infinite_exponent(self, ell, c_table):
+        pol = GrowthPolicy(kind="tabulated", ell_table=((1, 5.0), (300, ell)), c_table=c_table)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gamma_numeric(pol, n_max=10_000) == (math.inf, math.inf)
+
     def test_rejects_small_n_max(self):
         with pytest.raises(ValueError):
             gamma_numeric(GrowthPolicy(kind="parametric", depth_cap=5), n_max=50)
@@ -223,15 +237,13 @@ class TestRateWindow:
         assert w.lower_rate == 0.0 and w.upper_rate == 0.0
 
     def test_undefined_numeric_exponent_degenerates(self):
-        # depth 2000 past n = 300: the growth terms overflow and the
-        # regression returns NaN, which leaves no window either
+        # depth 2000 past n = 300: the growth terms overflow, the exponent
+        # is infinite and leaves no window
         pol = GrowthPolicy(
             kind="tabulated", ell_table=((1, 5.0), (300, 2000.0)), c_table=((1, 2.0),)
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            w = rate_window(1.0, 1, pol)
-        assert math.isnan(w.gamma_flat) and w.degenerate
+        w = rate_window(1.0, 1, pol)
+        assert w.gamma_flat == w.gamma_sharp == math.inf and w.degenerate
         assert w.lower_rate == 0.0 and w.upper_rate == 0.0
 
     def test_tabulated_uses_numeric_exponent(self):
