@@ -318,7 +318,12 @@ def cmd_rates(args) -> int:
         "method": "closed-form",
     }
     if cfg["n_max"] >= 100:
-        payload["gamma_numeric"] = gamma_numeric(policy, cfg["n_max"])[0]
+        # null when the exponent is infinite: for unbounded depth (the
+        # degenerate window) or a growth term past the float range
+        payload["gamma_numeric"] = (
+            None if window.degenerate
+            else _finite_or_none(gamma_numeric(policy, cfg["n_max"])[0])
+        )
     _write(args, payload)
     return 0 if not payload["degenerate"] else 1
 

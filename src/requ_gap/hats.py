@@ -455,7 +455,8 @@ class UnitBallCertificate:
     """Witnesses that kappa * M**(-64a/(8a+g)) * vartheta lies in the unit ball.
 
     kappa = min{ ((16d + 7L) (2 n0)**8)**(-alpha), 1/C1 } where n0 is the
-    least budget whose depth allowance reaches L and C1 bounds
+    least budget whose depth allowance reaches L, which is 1 since
+    ell(n) = depth_cap >= L at every n, and C1 bounds
     n**gamma / (c(n)**(2**L-1) n**((2**L-1)/2)) over all n."""
 
     alpha: float
@@ -482,20 +483,15 @@ class ScaledBump:
 
 def _pick_depth(policy: GrowthPolicy, gamma: float) -> int:
     """Smallest usable depth L in [5, ell*] making the C1 supremum finite."""
-    if policy.kind == "parametric":
-        per = policy.theta_c + 0.5
-        L = 5
-        while gamma >= (2.0**L - 1.0) * per:
-            L += 1
-            if L > 60:
-                raise ValueError("gamma out of range: no finite depth works")
-        if policy.ell_star != math.inf and L > policy.ell_star:
-            raise ValueError("gamma >= gamma_flat for this policy")
-        return L
-    L = policy.ell_star
-    if L == math.inf or L < 5:
-        raise ValueError("tabulated policy must have a finite depth limit >= 5")
-    return int(L)
+    per = policy.theta_c + 0.5
+    L = 5
+    while gamma >= (2.0**L - 1.0) * per:
+        L += 1
+        if L > 60:
+            raise ValueError("gamma out of range: no finite depth works")
+    if policy.ell_star != math.inf and L > policy.ell_star:
+        raise ValueError("gamma >= gamma_flat for this policy")
+    return L
 
 
 def scaled_unit_ball_bump(
@@ -520,24 +516,13 @@ def scaled_unit_ball_bump(
     y = tuple(np.atleast_1d(np.asarray(y, dtype=np.float64)))
     d = len(y)
     L = _pick_depth(policy, gamma)
-    n0 = 1
-    while policy.ell(n0) < L:
-        n0 += 1
-        if n0 > 10**7:
-            raise ValueError("no budget reaches the required depth")
+    n0 = 1  # ell(1) = depth_cap >= L
     # log2 of C1 = sup_n n**gamma / (c(n)**(2**L-1) n**((2**L-1)/2))
     log2_n, growth_c, growth_n = _growth_scan(policy, L)
     log_ratio = gamma * log2_n - growth_c - growth_n
-    best = int(np.argmax(log_ratio))
-    # tail check: the ratio must be non-increasing toward the end of the scan;
-    # for a parametric policy _pick_depth chose L with gamma < (2**L-1)(theta+1/2)
-    if policy.kind != "parametric" and best >= log2_n.size - 2:
-        warnings.warn(
-            "supremum attained at the scan boundary n = 10**6 for a tabulated "
-            "policy; the supremum may lie beyond it",
-            RuntimeWarning,
-        )
-    log2_c1 = float(log_ratio[best])
+    # _pick_depth chose L with gamma < (2**L-1)(theta+1/2), so the ratio
+    # tends to 0 as n grows
+    log2_c1 = float(log_ratio.max())
     c1 = float(np.exp2(log2_c1)) if log2_c1 < 1024 else math.inf
     # the first term is at most 1, so clamping the exponent at 0 (no
     # overflow) leaves the minimum as it is

@@ -9,7 +9,6 @@ explicit zeros, and no epsilon thresholding is applied anywhere.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import warnings
@@ -280,10 +279,9 @@ INF = float("inf")
 class GrowthPolicy:
     """Depth-growth and coefficient-growth functions.
 
-    Parametric form: c(n) = max(1, ceil(scale * n**theta_c * log(2n)**kappa_c)),
+    c(n) = max(1, ceil(scale * n**theta_c * log(2n)**kappa_c)) and
     ell(n) = depth_cap (an integer >= 5, or inf for unbounded depth).
-    Tabulated form: explicit non-decreasing maps given as sorted (n, value)
-    breakpoints; the value at n is the one at the largest breakpoint <= n.
+    ``kind`` names this form and accepts only "parametric".
     """
 
     kind: str = "parametric"
@@ -291,83 +289,55 @@ class GrowthPolicy:
     kappa_c: float = 0.0
     scale: float = 1.0
     depth_cap: float = 5
-    ell_table: tuple[tuple[int, float], ...] = ()
-    c_table: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
-        if self.kind == "parametric":
-            if not all(map(math.isfinite, (self.theta_c, self.kappa_c, self.scale))):
-                raise ValueError("theta_c, kappa_c and scale must be finite")
-            if self.theta_c < 0:
-                raise ValueError("theta_c must be >= 0")
-            if self.scale < 1:
-                raise ValueError("scale must be >= 1")
-            if self.depth_cap != INF and (self.depth_cap < 5 or self.depth_cap != int(self.depth_cap)):
-                raise ValueError("depth_cap must be an integer >= 5 or inf")
-        elif self.kind == "tabulated":
-            for table, name in ((self.ell_table, "ell"), (self.c_table, "c")):
-                if not table:
-                    raise ValueError(f"tabulated policy needs a {name}_table")
-                ns = [n for n, _ in table]
-                vs = [v for _, v in table]
-                if ns != sorted(ns) or ns[0] != 1:
-                    raise ValueError(f"{name}_table must start at n=1 and be sorted")
-                if any(b < a for a, b in zip(vs, vs[1:])):
-                    raise ValueError(f"{name}_table must be non-decreasing")
-        else:
+        if self.kind != "parametric":
             raise ValueError(f"unknown policy kind {self.kind!r}")
-
-    @staticmethod
-    def _lookup(table, n):
-        pos = bisect.bisect_right([bp for bp, _ in table], n)
-        return table[max(pos - 1, 0)][1]
+        if not all(map(math.isfinite, (self.theta_c, self.kappa_c, self.scale))):
+            raise ValueError("theta_c, kappa_c and scale must be finite")
+        if self.theta_c < 0:
+            raise ValueError("theta_c must be >= 0")
+        if self.scale < 1:
+            raise ValueError("scale must be >= 1")
+        if self.depth_cap != INF and (self.depth_cap < 5 or self.depth_cap != int(self.depth_cap)):
+            raise ValueError("depth_cap must be an integer >= 5 or inf")
 
     def ell(self, n: int) -> float:
         """Depth limit at weight budget n."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        if self.kind == "parametric":
-            return self.depth_cap
-        return self._lookup(self.ell_table, n)
+        return self.depth_cap
 
     def c(self, n) -> float:
         """Coefficient magnitude limit at weight budget n (vectorized)."""
-        if self.kind == "parametric":
-            narr = np.asarray(n, dtype=np.float64)
-            if np.any(narr < 1):
-                raise ValueError("n must be >= 1")
-            # a limit beyond the float range is inf
-            with np.errstate(over="ignore", invalid="ignore"):
-                raw = self.scale * narr**self.theta_c * np.log(2.0 * narr) ** self.kappa_c
-                # n**theta_c overflowed and log(2n)**kappa_c underflowed
-                # (inf * 0): the sum of the factors' logs gives the product
-                if np.isnan(raw).any():
-                    log_raw = (
-                        math.log(self.scale) + self.theta_c * np.log(narr)
-                        + self.kappa_c * np.log(np.log(2.0 * narr))
-                    )
-                    raw = np.where(np.isnan(raw), np.exp(log_raw), raw)
-            out = np.maximum(1.0, np.ceil(raw))
-            return float(out) if np.isscalar(n) else out
-        if np.isscalar(n):
-            return self._lookup(self.c_table, n)
-        return np.array([self._lookup(self.c_table, int(v)) for v in np.asarray(n)])
+        narr = np.asarray(n, dtype=np.float64)
+        if np.any(narr < 1):
+            raise ValueError("n must be >= 1")
+        # a limit beyond the float range is inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = self.scale * narr**self.theta_c * np.log(2.0 * narr) ** self.kappa_c
+            # n**theta_c overflowed and log(2n)**kappa_c underflowed
+            # (inf * 0): the sum of the factors' logs gives the product
+            if np.isnan(raw).any():
+                log_raw = (
+                    math.log(self.scale) + self.theta_c * np.log(narr)
+                    + self.kappa_c * np.log(np.log(2.0 * narr))
+                )
+                raw = np.where(np.isnan(raw), np.exp(log_raw), raw)
+        out = np.maximum(1.0, np.ceil(raw))
+        return float(out) if np.isscalar(n) else out
 
     @property
     def ell_star(self) -> float:
-        if self.kind == "parametric":
-            return self.depth_cap
-        return self.ell_table[-1][1]
+        return self.depth_cap
 
     @property
     def c_star(self) -> float:
-        if self.kind == "parametric":
-            if self.theta_c > 0 or self.kappa_c > 0:
-                return INF
-            if self.kappa_c < 0:
-                return self.c(1)
-            return float(max(1.0, np.ceil(self.scale)))
-        return self.c_table[-1][1]
+        if self.theta_c > 0 or self.kappa_c > 0:
+            return INF
+        if self.kappa_c < 0:
+            return self.c(1)
+        return float(max(1.0, np.ceil(self.scale)))
 
 
 @dataclass(frozen=True)

@@ -78,12 +78,10 @@ class LipschitzBoundInput:
 
 
 def gamma_closed_form(policy: GrowthPolicy) -> tuple[float, float]:
-    """(gamma_flat, gamma_sharp) for a parametric policy.
+    """(gamma_flat, gamma_sharp) of a growth policy.
 
     Both equal (2**ell_star - 1) * (theta_c + 1/2); (inf, inf) when the depth
     allowance is unbounded."""
-    if policy.kind != "parametric":
-        raise ValueError("closed form applies to parametric policies; use gamma_numeric")
     if policy.ell_star == INF:
         return (INF, INF)
     g = (2.0**policy.ell_star - 1.0) * (policy.theta_c + 0.5)
@@ -93,21 +91,22 @@ def gamma_closed_form(policy: GrowthPolicy) -> tuple[float, float]:
 def gamma_numeric(policy: GrowthPolicy, n_max: int) -> tuple[float, float]:
     """Estimate the growth exponent by regression over a geometric n grid.
 
-    Fits log2 of max_{L <= ell(n)} c(n)**(2**L - 1) * n**((2**L - 1)/2)
-    against [log2 n, log2 log2(2n), 1]; the extra slowly-varying regressor
-    absorbs the log factor of policies with kappa_c != 0 so that the leading
+    A numeric cross-check of gamma_closed_form.  Fits log2 of
+    max_{L <= depth_cap} c(n)**(2**L - 1) * n**((2**L - 1)/2) against
+    [log2 n, log2 log2(2n), 1]; the extra slowly-varying regressor absorbs
+    the log factor of policies with kappa_c != 0 so that the leading
     exponent is recovered cleanly.  A growth term beyond the float range
     gives (inf, inf), as gamma_closed_form gives for unbounded depth."""
     if n_max < 100:
         raise ValueError("n_max must be >= 100")
-    grid = np.unique(np.geomspace(100, n_max, 400).round()).astype(np.int64)
-    ells = np.array([policy.ell(int(n)) for n in grid], dtype=np.float64)
-    if np.any(~np.isfinite(ells)):
+    if policy.ell_star == INF:
         raise ValueError("unbounded depth allowance: the exponent is infinite")
+    grid = np.unique(np.geomspace(100, n_max, 400).round()).astype(np.int64)
     cvals = np.asarray(policy.c(grid), dtype=np.float64)
-    # the inner max over L <= ell(n) is attained at L = ell(n) since c, n >= 1
+    # the inner max over L <= depth_cap is attained at L = depth_cap since
+    # c, n >= 1
     with np.errstate(over="ignore", invalid="ignore"):
-        e = 2.0**ells - 1.0
+        e = np.float64(2.0) ** policy.ell_star - 1.0
         y = e * np.log2(cvals) + (e / 2.0) * np.log2(grid)
     if not np.isfinite(y).all():
         return (INF, INF)
@@ -179,10 +178,7 @@ def rate_window(alpha: float, d: int, policy: GrowthPolicy) -> RateWindow:
         raise ValueError("alpha must be > 0")
     if d < 1:
         raise ValueError("d must be >= 1")
-    if policy.kind == "parametric":
-        gamma_flat, gamma_sharp = gamma_closed_form(policy)
-    else:
-        gamma_flat, gamma_sharp = gamma_numeric(policy, n_max=10_000)
+    gamma_flat, gamma_sharp = gamma_closed_form(policy)
     # an infinite exponent: no window
     degenerate = not (math.isfinite(gamma_flat) and math.isfinite(gamma_sharp))
     return RateWindow(

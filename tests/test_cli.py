@@ -233,6 +233,21 @@ class TestRates:
         doc = json.loads(capsys.readouterr().out)
         assert doc["gamma_flat"] is None and doc["gamma_sharp"] is None
 
+    def test_numeric_exponent_past_the_float_range_is_null(self, capsys):
+        # 2**1023 is finite, the growth term of the numeric fit is not
+        assert run(["rates", "--depth-cap", "1023", "--n-max", "100"]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert doc["gamma_numeric"] is None and not doc["degenerate"]
+        assert "Infinity" not in out
+
+    def test_unbounded_policy_writes_null_numeric_exponent(self, capsys):
+        assert run(["rates", "--depth-cap", "inf", "--n-max", "100"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["degenerate"]
+        assert doc["gamma_numeric"] is None
+        assert doc["gamma_flat"] is None and doc["gamma_sharp"] is None
+
     def test_any_dimension_runs(self, capsys):
         # rates reads d only as a number; the hat commands' bound on d
         # (TestInvalidInput) does not apply

@@ -846,21 +846,9 @@ class TestGrowthPolicy:
         vals = pol.c(np.arange(1, 200))
         assert np.all(np.diff(vals) >= 0)
 
-    def test_tabulated_lookup(self):
-        pol = GrowthPolicy(
-            kind="tabulated",
-            ell_table=((1, 5), (10, 6)),
-            c_table=((1, 1), (5, 2), (50, 7)),
-        )
-        assert pol.ell(3) == 5 and pol.ell(10) == 6 and pol.ell(100) == 6
-        assert pol.c(1) == 1 and pol.c(5) == 2 and pol.c(49) == 2 and pol.c(50) == 7
-        assert pol.ell_star == 6 and pol.c_star == 7
-
-    def test_tabulated_must_be_monotone(self):
-        with pytest.raises(ValueError):
-            GrowthPolicy(
-                kind="tabulated", ell_table=((1, 6), (5, 5)), c_table=((1, 1),)
-            )
+    def test_only_the_parametric_kind(self):
+        with pytest.raises(ValueError, match="unknown policy kind"):
+            GrowthPolicy(kind="tabulated")
 
     def test_parametric_sup_values(self):
         assert GrowthPolicy(kind="parametric", depth_cap=5).c_star == 1

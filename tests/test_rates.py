@@ -41,11 +41,6 @@ class TestGammaClosedForm:
         pol = GrowthPolicy(kind="parametric", depth_cap=float("inf"))
         assert gamma_closed_form(pol) == (float("inf"), float("inf"))
 
-    def test_rejects_tabulated(self):
-        pol = GrowthPolicy(kind="tabulated", ell_table=((1, 5),), c_table=((1, 1),))
-        with pytest.raises(ValueError):
-            gamma_closed_form(pol)
-
 
 class TestGammaNumeric:
     def test_matches_closed_form_plain(self):
@@ -64,27 +59,17 @@ class TestGammaNumeric:
         lo, _ = gamma_numeric(pol, n_max=10_000)
         assert lo == pytest.approx(15.5, abs=0.5)
 
-    def test_tabulated_linear_coefficients(self):
-        table = tuple((int(n), int(n)) for n in np.unique(np.geomspace(1, 10_000, 2000).round()))
-        pol = GrowthPolicy(kind="tabulated", ell_table=((1, 5),), c_table=table)
-        lo, _ = gamma_numeric(pol, n_max=9000)
-        assert lo == pytest.approx(46.5, abs=0.1)
-
     def test_rejects_unbounded_depth(self):
         pol = GrowthPolicy(kind="parametric", depth_cap=float("inf"))
         with pytest.raises(ValueError):
             gamma_numeric(pol, n_max=1000)
 
-    @pytest.mark.parametrize(
-        "ell, c_table",
-        [
-            (2000.0, ((1, 2.0), (300, 4.0))),  # 2**ell overflows
-            (2000.0, ((1, 1.0),)),  # and meets log2 c = 0
-            (1023.0, ((1, 2.0), (300, 4.0))),  # 2**ell is finite, the term is not
-        ],
-    )
-    def test_overflowing_growth_term_gives_infinite_exponent(self, ell, c_table):
-        pol = GrowthPolicy(kind="tabulated", ell_table=((1, 5.0), (300, ell)), c_table=c_table)
+    # 2**1023 is finite, the growth term is not; 2**2000 overflows, also
+    # where it meets log2 c = 0 (scale 1)
+    @pytest.mark.parametrize("depth_cap", [1023, 2000])
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_overflowing_growth_term_gives_infinite_exponent(self, depth_cap, scale):
+        pol = GrowthPolicy(kind="parametric", scale=scale, depth_cap=depth_cap)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert gamma_numeric(pol, n_max=10_000) == (math.inf, math.inf)
@@ -99,15 +84,11 @@ SCAN_CASES = {
         GrowthPolicy(kind="parametric", theta_c=0.5, kappa_c=0.5, scale=2.0, depth_cap=5),
         20.0,
     ),
-    # c doubles whenever n grows 16-fold: the C1 supremum sits at n=15 and
-    # the C0 supremum at n=65536, both inside the scan
-    "tabulated": (
-        GrowthPolicy(
-            kind="tabulated",
-            ell_table=((1, 5), (8, 6)),
-            c_table=((1, 1.0), (16, 2.0), (256, 4.0), (4096, 8.0), (65536, 16.0)),
-        ),
-        40.0,
+    # c falls like log(2n)**-2 from 2082 at n=1: the C1 supremum sits near
+    # n = 7e5, inside the scan, and the C0 supremum at n=1
+    "inner-supremum": (
+        GrowthPolicy(kind="parametric", kappa_c=-2.0, scale=1000.0, depth_cap=5),
+        15.0,
     ),
 }
 
@@ -235,21 +216,6 @@ class TestRateWindow:
         w = rate_window(1.0, 1, pol)
         assert w.degenerate
         assert w.lower_rate == 0.0 and w.upper_rate == 0.0
-
-    def test_undefined_numeric_exponent_degenerates(self):
-        # depth 2000 past n = 300: the growth terms overflow, the exponent
-        # is infinite and leaves no window
-        pol = GrowthPolicy(
-            kind="tabulated", ell_table=((1, 5.0), (300, 2000.0)), c_table=((1, 2.0),)
-        )
-        w = rate_window(1.0, 1, pol)
-        assert w.gamma_flat == w.gamma_sharp == math.inf and w.degenerate
-        assert w.lower_rate == 0.0 and w.upper_rate == 0.0
-
-    def test_tabulated_uses_numeric_exponent(self):
-        pol = GrowthPolicy(kind="tabulated", ell_table=((1, 5),), c_table=((1, 1),))
-        w = rate_window(1.0, 1, pol)
-        assert w.gamma_sharp == pytest.approx(15.5, abs=0.05)
 
     @given(
         alpha=st.floats(0.1, 50.0),
