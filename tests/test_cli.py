@@ -371,6 +371,21 @@ class TestSweepCommands:
              "--m-list", "100,200,300,343"],
             "adfbc8c7ec5b80c969eebbeaa84a67d35a5849aef1c68bc91fea41630a93f5c5",
         ),
+        "hardness-grid-multilinear-d2": (
+            ["hardness", "--algorithm", "grid-multilinear", "--d", "2",
+             "--m-list", "25,100,121,400"],
+            "4be95f9eea21d633e84cdbb61f76a9934560f46b3231b0549f8ebc4e7fd7fd18",
+        ),
+        "hardness-grid-multilinear-d4": (
+            ["hardness", "--algorithm", "grid-multilinear", "--d", "4",
+             "--m-list", "100,625", "--grid-res", "5"],
+            "852ab2fb4d9ed68fefd3f7d4a639f4f60f126c5fa95938590021639923bd45aa",
+        ),
+        "hardness-grid-multilinear-d5": (
+            ["hardness", "--algorithm", "grid-multilinear", "--d", "5",
+             "--m-list", "500", "--grid-res", "3"],
+            "654b84ba4d510a8a020201ae00a1585c3f8bb822cc1e88288e2257b75cc81deb",
+        ),
         "hardness-grid-d3": (
             ["hardness", "--algorithm", "grid", "--d", "3", "--m-list", "30,100"],
             "163a846b28a63d9bfde0fd935b0d62f90408ca32d716a39ea417da6d519c4f34",
