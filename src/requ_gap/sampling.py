@@ -57,7 +57,12 @@ class SamplingAlgorithm:
             raise ValueError(f"expected {self.m} sample values")
 
         def evaluate(x):
-            idx, w = self.linear_stencil(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+            x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+            # a NaN coordinate passes the stencils' clips and casts to an
+            # arbitrary index
+            if np.isnan(x).any():
+                raise ValueError("query points must not be NaN")
+            idx, w = self.linear_stencil(x)
             return (w * values[idx]).sum(axis=1)
 
         return evaluate
@@ -108,34 +113,45 @@ def grid_algorithm(m: int, d: int, reconstruction: str = "nearest") -> SamplingA
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([g.ravel() for g in mesh])
 
+    # flat index of a node: its per-axis indices times the C-order strides
+    stride = n_side ** np.arange(d - 1, -1, -1)
     if reconstruction == "nearest":
 
         def stencil(x):
             # nearest index with half-way points resolved downward
             q = np.ceil(x * n_side - 0.5)
             i = np.clip(q, 0, n_side - 1).astype(np.int64)
-            flat = np.ravel_multi_index(i.T, (n_side,) * d)
-            return flat[:, None], np.ones((len(x), 1))
+            return (i @ stride)[:, None], np.ones((len(x), 1))
 
     else:
+        # the cell's 2**d corners, axis 0 varying fastest, as flat offsets
+        corner = ((np.arange(2**d)[:, None] >> np.arange(d)) & 1) @ stride
 
         def stencil(x):
-            t = x * n_side
-            base = np.clip(np.floor(t), 0, max(n_side - 2, 0)).astype(np.int64)
-            frac = np.clip(t - base, 0.0, 1.0)
             k = len(x)
-            corners = np.arange(2**d)
-            bits = (corners[None, :, None] >> np.arange(d)[None, None, :]) & 1
             if n_side == 1:
                 return np.zeros((k, 1), np.int64), np.ones((k, 1))
-            idx_nd = base[:, None, :] + bits
-            flat = np.ravel_multi_index(
-                np.moveaxis(idx_nd, -1, 0), (n_side,) * d
-            )
-            w = np.where(bits == 1, frac[:, None, :], 1.0 - frac[:, None, :]).prod(
-                axis=2
-            )
-            return flat, w
+            # pair[1, a] is frac and pair[0, a] is 1 - frac, axis a's
+            # factors per point, filled in place, as each fresh buffer of
+            # this size costs page faults
+            pair = np.empty((2, d, k))
+            frac = pair[1]
+            np.multiply(x.T, n_side, out=frac)
+            base = np.clip(np.floor(frac), 0, n_side - 2).astype(np.int64)
+            frac -= base  # an integer base keeps the sign of a -0.0 frac
+            np.clip(frac, 0.0, 1.0, out=frac)
+            np.subtract(1.0, frac, out=pair[0])
+            # a corner's weight is its factors multiplied from axis 0 on
+            # (times 1.0 first, which is exact); corners that agree on axes
+            # 0..a-1 share that prefix, so axis a doubles the (2**a, k)
+            # prefixes, b_a the new top bit.  The last axis writes the
+            # weights through a transposed view of the (k, 2**d) result
+            prefix = np.ones((1, k))
+            for a in range(d - 1):
+                prefix = (pair[:, a, None] * prefix).reshape(-1, k)
+            w = np.empty((k, 2**d))
+            np.multiply(pair[:, -1, None], prefix, out=w.reshape(k, 2, -1).transpose(1, 2, 0))
+            return (stride @ base)[:, None] + corner, w
 
     return SamplingAlgorithm(points, stencil, f"grid-{reconstruction}")
 

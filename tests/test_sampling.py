@@ -75,6 +75,47 @@ class TestGridAlgorithm:
         with pytest.raises(ValueError):
             grid_algorithm(4, 1, "cubic")
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mode=st.sampled_from(["nearest", "multilinear"]),
+        d=st.integers(1, 5),
+        n_side=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_stencil_matches_index_array_formula(self, mode, d, n_side, data):
+        # the (k, d) and (k, 2**d, d) array formulas as an oracle: equal
+        # indices and weight bits, at lattice nodes, cell midpoints (the
+        # nearest stencil's ties), 0, -0, 1 and just outside [0, 1], and at
+        # uniform points, whose products round where drawn floats seldom do
+        coord = st.one_of(
+            st.floats(-0.1, 1.1),
+            st.integers(0, 2 * n_side).map(lambda j: j / (2 * n_side)),
+            st.sampled_from([0.0, -0.0, 1.0, -1e-12, 1.0 + 1e-12, np.nextafter(1.0, 2.0)]),
+        )
+        x = np.array(data.draw(st.lists(
+            st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=30
+        )))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = np.vstack([x, rng.uniform(-0.1, 1.1, (64, d))])
+        idx, w = grid_algorithm(n_side**d, d, mode).linear_stencil(x)
+        shape = (n_side,) * d
+        k = len(x)
+        if mode == "nearest":
+            i = np.clip(np.ceil(x * n_side - 0.5), 0, n_side - 1).astype(np.int64)
+            want_idx, want_w = np.ravel_multi_index(i.T, shape)[:, None], np.ones((k, 1))
+        elif n_side == 1:
+            want_idx, want_w = np.zeros((k, 1), np.int64), np.ones((k, 1))
+        else:
+            t = x * n_side
+            base = np.clip(np.floor(t), 0, n_side - 2).astype(np.int64)
+            frac = np.clip(t - base, 0.0, 1.0)
+            bits = (np.arange(2**d)[None, :, None] >> np.arange(d)[None, None, :]) & 1
+            want_idx = np.ravel_multi_index(np.moveaxis(base[:, None, :] + bits, -1, 0), shape)
+            want_w = np.where(bits == 1, frac[:, None, :], 1.0 - frac[:, None, :]).prod(axis=2)
+        assert idx.dtype == np.int64 and np.array_equal(idx, want_idx)
+        assert w.shape == want_w.shape and w.flags.c_contiguous
+        assert np.array_equal(w.view(np.int64), want_w.view(np.int64))
+
 
 class TestOtherAlgorithms:
     def test_uniform_random_reproducible(self):
@@ -97,6 +138,18 @@ class TestOtherAlgorithms:
     def test_uniform_random_rejects_empty_budget(self):
         with pytest.raises(ValueError):
             uniform_random_algorithm(0, 2)
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [lambda: grid_algorithm(4, 2), lambda: grid_algorithm(4, 2, "multilinear"),
+         lambda: uniform_random_algorithm(5, 2)],
+        ids=["grid-nearest", "grid-multilinear", "uniform-random"],
+    )
+    def test_nan_query_point_is_rejected(self, algorithm):
+        alg = algorithm()
+        recon = alg.reconstruct(np.arange(1.0, alg.m + 1))
+        with pytest.raises(ValueError, match="NaN"):
+            recon(np.array([[0.5, 0.5], [math.nan, 0.1]]))
 
     def test_uniform_mc_budget(self):
         mc = uniform_mc(25, 2)
