@@ -319,7 +319,8 @@ def cmd_rates(args) -> int:
     }
     if cfg["n_max"] >= 100:
         # null when the exponent is infinite: for unbounded depth (the
-        # degenerate window) or a growth term past the float range
+        # degenerate window) or a growth term past the float range; and
+        # when n_max < 102 leaves the fit undetermined (NaN)
         payload["gamma_numeric"] = (
             None if window.degenerate
             else _finite_or_none(gamma_numeric(policy, cfg["n_max"])[0])

@@ -81,10 +81,12 @@ def gamma_closed_form(policy: GrowthPolicy) -> tuple[float, float]:
     """(gamma_flat, gamma_sharp) of a growth policy.
 
     Both equal (2**ell_star - 1) * (theta_c + 1/2); (inf, inf) when the depth
-    allowance is unbounded."""
-    if policy.ell_star == INF:
-        return (INF, INF)
-    g = (2.0**policy.ell_star - 1.0) * (policy.theta_c + 0.5)
+    allowance is unbounded or 2**ell_star is past the float range, the limit
+    since theta_c >= 0."""
+    try:
+        g = (2.0**policy.ell_star - 1.0) * (policy.theta_c + 0.5)
+    except OverflowError:
+        g = INF
     return (g, g)
 
 
@@ -96,12 +98,16 @@ def gamma_numeric(policy: GrowthPolicy, n_max: int) -> tuple[float, float]:
     [log2 n, log2 log2(2n), 1]; the extra slowly-varying regressor absorbs
     the log factor of policies with kappa_c != 0 so that the leading
     exponent is recovered cleanly.  A growth term beyond the float range
-    gives (inf, inf), as gamma_closed_form gives for unbounded depth."""
+    gives (inf, inf), as gamma_closed_form gives for unbounded depth; a grid
+    of fewer than three distinct n (n_max < 102) determines no fit and gives
+    (nan, nan)."""
     if n_max < 100:
         raise ValueError("n_max must be >= 100")
     if policy.ell_star == INF:
         raise ValueError("unbounded depth allowance: the exponent is infinite")
     grid = np.unique(np.geomspace(100, n_max, 400).round()).astype(np.int64)
+    if grid.size < 3:
+        return (math.nan, math.nan)
     cvals = np.asarray(policy.c(grid), dtype=np.float64)
     # the inner max over L <= depth_cap is attained at L = depth_cap since
     # c, n >= 1
@@ -110,8 +116,6 @@ def gamma_numeric(policy: GrowthPolicy, n_max: int) -> tuple[float, float]:
         y = e * np.log2(cvals) + (e / 2.0) * np.log2(grid)
     if not np.isfinite(y).all():
         return (INF, INF)
-    if np.allclose(y, y[0]):
-        raise ValueError("degenerate policy: growth expression is constant")
     design = np.column_stack(
         [np.log2(grid), np.log2(np.log2(2.0 * grid)), np.ones(grid.size)]
     )

@@ -235,11 +235,27 @@ class TestRates:
 
     def test_numeric_exponent_past_the_float_range_is_null(self, capsys):
         # 2**1023 is finite, the growth term of the numeric fit is not
-        assert run(["rates", "--depth-cap", "1023", "--n-max", "100"]) == 0
+        assert run(["rates", "--depth-cap", "1023", "--n-max", "1000"]) == 0
         out = capsys.readouterr().out
         doc = json.loads(out)
         assert doc["gamma_numeric"] is None and not doc["degenerate"]
         assert "Infinity" not in out
+
+    @pytest.mark.parametrize("n_max", [100, 101])
+    def test_too_few_grid_points_write_null_numeric_exponent(self, n_max, capsys):
+        # [100, n_max] holds one or two integers: the three-column fit is
+        # undetermined, so there is no estimate
+        assert run(["rates", "--n-max", str(n_max)]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert doc["gamma_numeric"] is None and not doc["degenerate"]
+        assert "NaN" not in out
+
+    def test_three_grid_points_fit_the_exponent(self, capsys):
+        assert run(["rates", "--n-max", "102"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["gamma_flat"] == 15.5
+        assert doc["gamma_numeric"] == pytest.approx(15.5, abs=1e-6)
 
     def test_unbounded_policy_writes_null_numeric_exponent(self, capsys):
         assert run(["rates", "--depth-cap", "inf", "--n-max", "100"]) == 1

@@ -41,6 +41,17 @@ class TestGammaClosedForm:
         pol = GrowthPolicy(kind="parametric", depth_cap=float("inf"))
         assert gamma_closed_form(pol) == (float("inf"), float("inf"))
 
+    @pytest.mark.parametrize("theta_c", [0.0, 1.0])
+    def test_depth_past_the_float_range_gives_infinite_exponent(self, theta_c):
+        # 2.0**1100 raises OverflowError; the limit is +inf, as theta_c >= 0
+        pol = GrowthPolicy(kind="parametric", theta_c=theta_c, depth_cap=1100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gamma_closed_form(pol) == (math.inf, math.inf)
+            w = rate_window(1.0, 1, pol)
+        assert w.degenerate and w.gamma_flat == w.gamma_sharp == math.inf
+        assert w.lower_rate == 0.0 and w.upper_rate == 0.0
+
 
 class TestGammaNumeric:
     def test_matches_closed_form_plain(self):
@@ -63,6 +74,18 @@ class TestGammaNumeric:
         pol = GrowthPolicy(kind="parametric", depth_cap=float("inf"))
         with pytest.raises(ValueError):
             gamma_numeric(pol, n_max=1000)
+
+    @pytest.mark.parametrize("n_max", [100, 101])
+    def test_fewer_than_three_grid_points_give_no_estimate(self, n_max):
+        pol = GrowthPolicy(kind="parametric", depth_cap=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = gamma_numeric(pol, n_max=n_max)
+        assert math.isnan(lo) and math.isnan(hi)
+
+    def test_three_grid_points_determine_the_fit(self):
+        pol = GrowthPolicy(kind="parametric", depth_cap=5)
+        assert gamma_numeric(pol, n_max=102)[0] == pytest.approx(15.5, abs=1e-6)
 
     # 2**1023 is finite, the growth term is not; 2**2000 overflows, also
     # where it meets log2 c = 0 (scale 1)
