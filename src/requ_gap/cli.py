@@ -296,8 +296,8 @@ def cmd_verify_hat(args) -> int:
     hat = build_hat(_hat_params(cfg))
     report = verify_hat(hat, num_points=cfg["points"], seed=args.seed or 0)
     if cfg["network"]:
-        data = Path(cfg["network"]).read_bytes()
-        report["file_matches"] = stored_as(data, hat.network)
+        with open(cfg["network"], "rb") as stream:
+            report["file_matches"] = stored_as(stream, hat.network)
     report["config"] = {k: v for k, v in cfg.items() if k != "network"}
     _write(args, report)
     return 0 if report["pass"] and report.get("file_matches", True) else 1

@@ -45,6 +45,9 @@ LAMBDA2_LIP_FACTOR = 8.0 / (3.0 * math.sqrt(3.0))
 
 _MAX_MIDDLE_ROWS = 4_000_000
 
+# points verify_hat draws and evaluates at a time
+_POINTS_PER_CHUNK = 1 << 14
+
 # bits of the exact gain, at most; forming 2**24 takes about a second, and
 # each step of L doubles the bits
 _MAX_GAIN_BITS = 1 << 24
@@ -276,26 +279,23 @@ class BuiltHat:
         a1 = SparseMatrix((2 * n * d, d), r, r // (2 * n), sign)
         b1 = SparseVector.from_dense(-sign * y[r // (2 * n)])
 
-        # layer 2: per coordinate block, n**8 row triples (bump, floor, scale)
-        rr = np.arange(3 * n8 * d)
-        block = rr // (3 * n8)
-        kind = rr % 3
-        t1 = rr[kind == 0]
+        # layer 2: per coordinate block, n**8 row triples (bump, floor, scale);
+        # the bump rows are 0, 3, 6, ..., the floor and scale rows follow them
+        bump = np.arange(0, 3 * n8 * d, 3)
         a2 = SparseMatrix(
             (3 * n8 * d, 2 * n * d),
-            np.repeat(t1, 2),
-            np.tile([0, 1], t1.size) + 2 * n * np.repeat(block[kind == 0], 2),
-            np.full(2 * t1.size, -1.0),
+            np.repeat(bump, 2),
+            np.tile([0, 1], n8 * d) + np.repeat(2 * n * np.arange(d), 2 * n8),
+            np.full(2 * n8 * d, -1.0),
         )
-        bias2 = np.choose(kind, [c["b21"], c["b22"], c["b23"]])
-        b2 = SparseVector.from_dense(bias2)
+        b2 = SparseVector.from_dense(np.tile([c["b21"], c["b22"], c["b23"]], n8 * d))
 
         # layer 3: three shifted copies of the averaged bump sum (+inv on the
         # bump rows, -inv on the floor rows) + the scale row
         a3 = SparseMatrix(
             (4, 3 * n8 * d),
             np.repeat(np.arange(4), [2 * n8 * d] * 3 + [n8 * d]),
-            np.concatenate([rr[0::3], rr[1::3]] * 3 + [rr[2::3]]),
+            np.concatenate([bump, bump + 1] * 3 + [bump + 2]),
             np.repeat([c["inv"], -c["inv"]] * 3 + [1.0], n8 * d),
         )
         b3 = SparseVector.from_dense([0.0, c["b32"], c["b33"], 0.0])
@@ -403,7 +403,8 @@ def choose_amplitude_base(policy: GrowthPolicy, n: int) -> float:
 
 
 def verify_hat(hat: BuiltHat, num_points: int = 10_000, seed: int = 0) -> dict:
-    """Compare the built network against its closed form on random points.
+    """Compare the built network against its closed form on random points,
+    num_points of them drawn in chunks of _POINTS_PER_CHUNK.
 
     Relative error is measured against the amplitude (the closed form's sup),
     since both functions vanish identically outside the support cube.  The
@@ -413,10 +414,13 @@ def verify_hat(hat: BuiltHat, num_points: int = 10_000, seed: int = 0) -> dict:
     spec = params.spec
     rng = np.random.default_rng(seed)
     half = 1.5 / spec.M
-    pts = np.asarray(spec.y) + rng.uniform(-half, half, size=(num_points, spec.d))
-    approx = hat.realize(pts)
-    exact = hat.closed_form(pts)
-    max_abs = float(np.max(np.abs(approx - exact)))
+    # the draws continue one stream, so the points are those of one draw
+    worst = []
+    for start in range(0, num_points, _POINTS_PER_CHUNK):
+        size = min(_POINTS_PER_CHUNK, num_points - start)
+        pts = np.asarray(spec.y) + rng.uniform(-half, half, size=(size, spec.d))
+        worst.append(np.max(np.abs(hat.realize(pts) - hat.closed_form(pts))))
+    max_abs = float(np.max(worst))
     max_rel = max_abs / hat.amplitude if hat.amplitude > 0 else math.inf
     net = hat.network
     budget = hat.weight_budget()
@@ -494,6 +498,25 @@ def _pick_depth(policy: GrowthPolicy, gamma: float) -> int:
     return L
 
 
+def _log2_ratio_tail(policy: GrowthPolicy, L: int, gamma: float, log2_n0: float) -> float:
+    """An upper bound on log2 of n**gamma / (c(n)**e n**(e/2)), e = 2**L - 1,
+    over n >= 2**log2_n0, where the scan of _growth_scan ends.
+
+    From c(n) >= scale n**theta ln(2n)**kappa the log2 is at most
+    -A log2 n + B log2 ln(2n) - e log2 scale, with A = e (theta + 1/2) - gamma,
+    which _pick_depth made positive, and B = -e kappa.  In u = ln n that is
+    concave for B > 0, with its maximum at u = B/A - ln 2, and decreasing
+    for B <= 0; so the bound is taken at the larger of that u and the scan's
+    end.  A bound past the float range (NaN from inf - inf) is inf."""
+    e = 2.0**L - 1.0
+    a = e * (policy.theta_c + 0.5) - gamma
+    b = -e * policy.kappa_c
+    ln2 = math.log(2.0)
+    u = max(log2_n0 * ln2, b / a - ln2)
+    tail = (b * math.log(ln2 + u) - a * u) / ln2 - e * math.log2(policy.scale)
+    return math.inf if math.isnan(tail) else tail
+
+
 def scaled_unit_ball_bump(
     alpha: float,
     gamma: float,
@@ -520,9 +543,7 @@ def scaled_unit_ball_bump(
     # log2 of C1 = sup_n n**gamma / (c(n)**(2**L-1) n**((2**L-1)/2))
     log2_n, growth_c, growth_n = _growth_scan(policy, L)
     log_ratio = gamma * log2_n - growth_c - growth_n
-    # _pick_depth chose L with gamma < (2**L-1)(theta+1/2), so the ratio
-    # tends to 0 as n grows
-    log2_c1 = float(log_ratio.max())
+    log2_c1 = max(float(log_ratio.max()), _log2_ratio_tail(policy, L, gamma, float(log2_n[-1])))
     c1 = float(np.exp2(log2_c1)) if log2_c1 < 1024 else math.inf
     # the first term is at most 1, so clamping the exponent at 0 (no
     # overflow) leaves the minimum as it is

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
-from typing import Callable, Iterator, Sequence
+from itertools import chain, islice
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,8 +48,9 @@ _PRODUCTS_PER_BLOCK = 1 << 16
 @dataclass(frozen=True)
 class SparseMatrix:
     """Immutable COO matrix; duplicate coordinates are rejected: equal
-    neighbours in one sort of the key rows * span + cols, span = cols.max() + 1,
-    or in a lexsort of (row, column) where that int64 key could overflow."""
+    neighbours in the key rows * span + cols, span = cols.max() + 1, formed
+    in one array and sorted in place, or in a lexsort of (row, column) where
+    that int64 key could overflow."""
 
     shape: tuple[int, int]
     rows: np.ndarray
@@ -70,7 +70,10 @@ class SparseMatrix:
                 raise NetworkError("column index out of range")
             span = int(cols.max()) + 1
             if rows.max() < (2**63 - span) // span:
-                ranked = [np.sort(rows * span + cols)]
+                key = rows * span
+                key += cols
+                key.sort()
+                ranked = [key]
             else:
                 order = np.lexsort((cols, rows))
                 ranked = [rows[order], cols[order]]
@@ -388,21 +391,6 @@ def check_membership(net: NeuralNetwork, budget: SigmaBudget):
 # structural operations (depth equalization, summation, dead-layer removal)
 # ---------------------------------------------------------------------------
 
-def _monitor_boundedness(net, domain, op, samples=64, seed=0):
-    """Probabilistic check that |realization| <= 1 on a sample of the box."""
-    lo, hi = (np.asarray(a, dtype=np.float64) for a in domain)
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, size=(samples, net.input_dim))
-    vals = realize(net, pts)
-    worst = float(np.abs(vals).max())
-    if worst > 1.0 + 1e-12:
-        warnings.warn(
-            f"{op}: sampled |output| reaches {worst:.3g} > 1; the identity "
-            "gadgets are only exact for outputs in [-1, 1]",
-            RuntimeWarning,
-        )
-
-
 def _parallel(a: Layer, b: Layer, stack_out: bool, stack_in: bool) -> Layer:
     """The layer that applies a and b side by side.
 
@@ -441,16 +429,16 @@ _LAMBDA = Layer(
 )
 
 
-def depth_extend(net: NeuralNetwork, target_depth: int, *, check_domain=None) -> NeuralNetwork:
+def depth_extend(net: NeuralNetwork, target_depth: int) -> NeuralNetwork:
     """Pad a scalar-output network to an exact depth.
 
     The realization is unchanged on every input whose original output lies in
-    [-1, 1] (caller-asserted; pass ``check_domain=(lo, hi)`` for a sampled
-    runtime check).  The encoding routes the pair (f+1, 1-f) through identity
-    gadgets and decodes at the end, so the weight count at most doubles plus
-    6 per inserted gadget layer.  The layer that emits the pair stacks the
-    final layer over its negation (_parallel); at depth 1 the 1 is a bias,
-    else it is read from a constant-one channel added to the layer before."""
+    [-1, 1], which the caller asserts.  The encoding routes the pair
+    (f+1, 1-f) through identity gadgets and decodes at the end, so the weight
+    count at most doubles plus 6 per inserted gadget layer.  The layer that
+    emits the pair stacks the final layer over its negation (_parallel); at
+    depth 1 the 1 is a bias, else it is read from a constant-one channel
+    added to the layer before."""
     if net.output_dim != 1:
         raise NetworkError("depth_extend requires output_dim == 1")
     k = net.depth()
@@ -458,8 +446,6 @@ def depth_extend(net: NeuralNetwork, target_depth: int, *, check_domain=None) ->
         raise NetworkError(f"target_depth {target_depth} < current depth {k}")
     if target_depth == k:
         return net
-    if check_domain is not None:
-        _monitor_boundedness(net, check_domain, "depth_extend")
 
     last = net.layers[k - 1]
     a, b = last.weights, last.bias.to_dense()
@@ -482,7 +468,7 @@ def depth_extend(net: NeuralNetwork, target_depth: int, *, check_domain=None) ->
     return NeuralNetwork(tuple(head + [_GAMMA] * (target_depth - len(head) - 1) + [_LAMBDA]))
 
 
-def sum_networks(net1: NeuralNetwork, net2: NeuralNetwork, *, check_domain=None) -> NeuralNetwork:
+def sum_networks(net1: NeuralNetwork, net2: NeuralNetwork) -> NeuralNetwork:
     """Parallelize two scalar-output networks into one realizing their sum.
 
     Both realizations must be bounded in [-1, 1] on the intended domain
@@ -500,7 +486,7 @@ def sum_networks(net1: NeuralNetwork, net2: NeuralNetwork, *, check_domain=None)
     if net1.depth() > net2.depth():
         net1, net2 = net2, net1
     if net1.depth() < net2.depth():
-        net1 = depth_extend(net1, net2.depth(), check_domain=check_domain)
+        net1 = depth_extend(net1, net2.depth())
     ell = net1.depth()
     return NeuralNetwork(tuple(
         _parallel(l1, l2, k < ell - 1, k > 0)
@@ -737,30 +723,36 @@ def identical(a: NeuralNetwork, b: NeuralNetwork) -> bool:
     )
 
 
-def stored_as(data: bytes, net: NeuralNetwork) -> bool:
-    """True when data, the bytes of a serialized network, holds a network
-    identical to net (see identical); malformed data raises ParseError.
+def stored_as(stream: BinaryIO, net: NeuralNetwork) -> bool:
+    """True when stream, a binary reader of a serialized network, holds a
+    network identical to net (see identical); malformed data raises
+    ParseError.
 
     When every weight of net is finite and nonzero, reading the bytes
-    serialize writes for net gives net back, so data equal to them is
-    accepted without parsing.  data is compared with the pieces of encode(net)
-    as they are produced, so the whole encoding is never held; the comparison
-    stops at the first piece that differs.  Any other data is parsed and
-    compared, and so is any data when net stores a zero weight, which reading
-    drops."""
+    serialize writes for net gives net back, so a stream equal to them is
+    accepted without parsing.  The stream is read against the pieces of
+    encode(net) as they are produced, so neither the file nor the encoding
+    is held whole.  At the first difference the stream is parsed: the
+    matched pieces are encoded again and the differing bytes and the rest of
+    the stream follow, so the stream is read once, without a seek, and may
+    be a pipe.  Any stream is parsed when net stores a zero weight, which
+    reading drops."""
     exact = all(
         np.isfinite(layer.weights.vals).all()
         and np.isfinite(layer.bias.vals).all()
         and (layer.weights.vals != 0.0).all()
         for layer in net.layers
     )
+    matched, chunk = 0, b""
     if exact:
-        at = 0
         for piece in encode(net):
-            if not data.startswith(piece, at):
+            chunk = stream.read(len(piece))
+            if chunk != piece:
                 break
-            at += len(piece)
+            matched += 1
         else:
-            if at == len(data):
+            chunk = stream.read(1)
+            if not chunk:
                 return True
-    return identical(deserialize(data), net)
+    prefix = b"".join(islice(encode(net), matched)) if matched else b""
+    return identical(deserialize(prefix + chunk + stream.read()), net)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -171,6 +172,57 @@ class TestVerifyHat:
         out.write_bytes(out.read_bytes()[:-1])
         assert run(["verify-hat", "--M", "2", "--network", str(out)]) == 2
         assert capsys.readouterr().err.startswith("verify-hat: invalid JSON")
+
+    @staticmethod
+    def _verify(tmp_path, capsys, data: bytes, pipe: bool) -> tuple:
+        """verify-hat of the M=2 hat against data, read from a file or from
+        a pipe (its /dev/fd path; a pipe cannot seek): exit code, report
+        and stderr."""
+        argv = ["verify-hat", "--M", "2", "--out", str(tmp_path / "verify.json")]
+        if not pipe:
+            path = tmp_path / "stored.json"
+            path.write_bytes(data)
+            code = run(argv + ["--network", str(path)])
+        else:
+            read_end, write_end = os.pipe()
+
+            def feed():
+                with open(write_end, "wb") as fh:
+                    try:
+                        fh.write(data)
+                    except BrokenPipeError:
+                        pass
+
+            writer = threading.Thread(target=feed)
+            writer.start()
+            try:
+                code = run(argv + ["--network", f"/dev/fd/{read_end}"])
+            finally:
+                os.close(read_end)
+                writer.join(timeout=10)
+            assert not writer.is_alive()
+        report = tmp_path / "verify.json"
+        text = report.read_text() if report.exists() else None
+        report.unlink(missing_ok=True)
+        return code, text, capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_gives_what_a_file_gives(self, tmp_path, capsys):
+        out = tmp_path / "hat.json"
+        assert run(["build-hat", "--M", "2", "--out", str(out)]) == 0
+        data = out.read_bytes()
+        edited = data.replace(b"]]}", b"]] }", 1)
+        nudged = json.loads(data)
+        entry = nudged["layers"][2]["entries"][0]
+        entry[2] = float(np.nextafter(entry[2], np.inf))
+        cases = [data, edited, json.dumps(nudged).encode(), data[:-1]]
+        results = [
+            [self._verify(tmp_path, capsys, case, pipe) for pipe in (False, True)]
+            for case in cases
+        ]
+        assert [from_file[0] for from_file, _ in results] == [0, 0, 1, 2]
+        for from_file, from_pipe in results:
+            assert from_pipe == from_file
 
     @staticmethod
     def _count_codec_calls(monkeypatch) -> dict:
@@ -603,6 +655,11 @@ class TestInvalidInput:
             "lipschitz", "--d", "2", "--L", "1023", "--depth-cap", "1023",
         ],
         "sum-check-M1-string-NaN": ["sum-check"],
+        # C1's supremum lies far past the scan, near n = 1e281
+        "hardness-c1-past-the-scan": [
+            "hardness", "--theta-c", "0.5", "--kappa-c", "-50", "--depth-cap", "5",
+            "--gamma", "20",
+        ],
     }
 
     # the --config file of a case, for keys that have no flag
@@ -721,6 +778,7 @@ class TestInvalidInput:
         "build-hat-gain-near-1-L1023": "gain at L=1023 would have 2**1026.7 bits",
         "lipschitz-gain-near-1-L1023": "gain at L=1023 would have 2**1026.7 bits",
         "sum-check-M1-string-NaN": "M1 must be a finite number in (-inf, 1.157920892373162e+77), got 'NaN'",
+        "hardness-c1-past-the-scan": "amplitude 0.0 outside (0, 1]",
     }
 
     @pytest.mark.parametrize("case", CASES)

@@ -1,6 +1,7 @@
 """Tests for bump functions, explicit hat networks, and unit-ball scaling."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from requ_gap import hats
 from requ_gap.hats import (
     LAMBDA2_LIP_FACTOR,
     THETA_PLATEAU,
@@ -239,6 +241,24 @@ class TestBuildHat:
             assert net.weight_count() <= 16 * n**8 * d + 7 * L
             assert net.max_norm() <= hat.params.policy.c(n)
 
+    def test_materialized_hat_holds_little_besides_its_arrays(self):
+        # 72,209 weights; the traced peak was 1.88 times the arrays with
+        # the full-length index temporaries and a sorted copy of the key
+        hat = build_hat(hat_params(n=3, L=7, d=1))
+        tracemalloc.start()
+        try:
+            net = hat.network
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = sum(
+            a.nbytes
+            for layer in net.layers
+            for a in (layer.weights.rows, layer.weights.cols, layer.weights.vals,
+                      layer.bias.idx, layer.bias.vals)
+        )
+        assert peak < 1.5 * arrays
+
     def test_per_matrix_sparsity_inventory(self):
         n, d = 2, 2
         n8 = n**8
@@ -331,6 +351,13 @@ class TestVerifyHat:
         assert verify_hat(build_hat(p), num_points=500, seed=3) == verify_hat(
             build_hat(p), num_points=500, seed=3
         )
+
+    def test_points_drawn_in_chunks_give_the_one_chunk_report(self, monkeypatch):
+        hat = build_hat(hat_params(n=1, L=6, C=1.0, M=2.0, d=2))
+        whole = verify_hat(hat, num_points=1000, seed=5)
+        # four chunks, the last of 100 points
+        monkeypatch.setattr(hats, "_POINTS_PER_CHUNK", 300)
+        assert verify_hat(hat, num_points=1000, seed=5) == whole
 
 
 class TestUnitBallScaling:

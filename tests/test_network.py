@@ -1,6 +1,7 @@
 """Tests for the sparse network data model and structural operations."""
 
 import hashlib
+import io
 import json
 import tracemalloc
 import warnings
@@ -206,11 +207,6 @@ class TestDepthExtend:
         net = net_from_dense((np.eye(2), [0.0, 0.0]))
         with pytest.raises(NetworkError):
             depth_extend(net, 3)
-
-    def test_out_of_range_warns(self):
-        net = net_from_dense(([[2.0]], [0.0]))  # exceeds [-1,1] on [0,1]
-        with pytest.warns(RuntimeWarning):
-            depth_extend(net, 4, check_domain=(np.array([0.0]), np.array([1.0])))
 
 
 class TestSumNetworks:
@@ -687,6 +683,18 @@ class TestIdentical:
             assert not identical(one_layer(base), other)
 
 
+class ReadOnly:
+    """A binary reader that has read and nothing else: no seek, no tell, as
+    a pipe gives at most; each read returns what was asked, or less at the
+    end."""
+
+    def __init__(self, data: bytes):
+        self._stream = io.BytesIO(data)
+
+    def read(self, size=-1):
+        return self._stream.read(size)
+
+
 class TestStoredAs:
     @given(net=wire_networks())
     @example(net=SIGNED_ZEROS)
@@ -694,14 +702,14 @@ class TestStoredAs:
     def test_agrees_with_parsing(self, net):
         data = serialize(net)
         parsed = identical(deserialize(data), net)
-        assert stored_as(data, net) == parsed
+        assert stored_as(io.BytesIO(data), net) == parsed
         reformatted = json.dumps(json.loads(data), indent=1).encode()
-        assert stored_as(reformatted, net) == parsed
+        assert stored_as(io.BytesIO(reformatted), net) == parsed
 
     def test_malformed_data_raises_parse_error(self):
         net = one_layer(SparseMatrix((1, 1), [0], [0], [2.0]))
         with pytest.raises(ParseError):
-            stored_as(serialize(net)[:-1], net)
+            stored_as(io.BytesIO(serialize(net)[:-1]), net)
 
     @staticmethod
     def _three_block_net() -> NeuralNetwork:
@@ -730,9 +738,10 @@ class TestStoredAs:
     def test_edited_bytes_give_what_parsing_gives(self):
         net = self._three_block_net()
         for data, parsed in zip(self._edits(net), [True, True, False]):
-            assert stored_as(data, net) == identical(deserialize(data), net) == parsed
+            for reader in (io.BytesIO, ReadOnly):
+                assert stored_as(reader(data), net) == identical(deserialize(data), net) == parsed
 
-    def test_matching_bytes_are_compared_without_a_whole_copy(self):
+    def test_matching_bytes_are_compared_without_a_whole_copy(self, tmp_path):
         # the n=4, L=7 hat of the benchmark: 720,938 weights, 18.2 MB
         params = HatBuildParams(
             n=4,
@@ -742,16 +751,18 @@ class TestStoredAs:
             policy=GrowthPolicy(scale=256, depth_cap=7),
         )
         net = build_hat_network(params)
-        data = serialize(net)
-        tracemalloc.start()
-        try:
-            assert stored_as(data, net)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # data and net were made before tracing began, so peak is what
-        # stored_as allocated
-        assert peak < len(data) / 2
+        path = tmp_path / "hat.json"
+        path.write_bytes(serialize(net))
+        with open(path, "rb") as stream:
+            tracemalloc.start()
+            try:
+                assert stored_as(stream, net)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # net was made before tracing began, so peak is what stored_as
+        # allocated
+        assert peak < path.stat().st_size / 2
 
 
 def matmul_loop(m: SparseMatrix, pts: np.ndarray) -> np.ndarray:

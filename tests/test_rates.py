@@ -108,12 +108,32 @@ SCAN_CASES = {
         20.0,
     ),
     # c falls like log(2n)**-2 from 2082 at n=1: the C1 supremum sits near
-    # n = 7e5, inside the scan, and the C0 supremum at n=1
+    # n = 3.6e4, inside the scan, and the bound past the scan lies below it
     "inner-supremum": (
         GrowthPolicy(kind="parametric", kappa_c=-2.0, scale=1000.0, depth_cap=5),
-        15.0,
+        10.0,
     ),
 }
+
+# policies whose C1 supremum lies past the scan's end, n = 10**6
+BEYOND_SCAN = {
+    # c(n) = 1 from n = 2.7e13, where n**-0.5 reaches 2**-22.3; the scan's
+    # largest value is 2**-81.7, near n = 7e5
+    "kappa-c-2": (GrowthPolicy(kind="parametric", kappa_c=-2.0, scale=1000.0, depth_cap=5), 15.0),
+    # c(n) = 1 until n**0.5 > log(2n)**50; the supremum is about 2**4203,
+    # near n = 1e281
+    "kappa-c-50": (GrowthPolicy(kind="parametric", theta_c=0.5, kappa_c=-50.0, depth_cap=5), 20.0),
+}
+
+
+def _log2_ratio_far(policy, L, gamma):
+    """The largest log2 of n**gamma / (c(n)**e n**(e/2)), e = 2**L - 1, by
+    a plain loop over 1..4096 and 20,000 geometric points up to 1e300."""
+    grid = [*range(1, 4097), *(float(v) for v in np.geomspace(4096, 1e300, 20_000).round())]
+    e = 2.0**L - 1.0
+    return max(
+        gamma * math.log2(n) - e * math.log2(policy.c(n)) - e / 2.0 * math.log2(n) for n in grid
+    )
 
 
 def _loop_scan(policy, L, gamma, n_scan=1_000_000):
@@ -149,6 +169,20 @@ class TestGrowthScan:
             _, cert = scaled_unit_ball_bump(1.0, gamma, 4.0, [0.5], policy)
         assert cert.L == L
         assert math.log2(cert.C1) == pytest.approx(c1, rel=1e-12)
+
+    @pytest.mark.parametrize("policy, gamma", BEYOND_SCAN.values(), ids=BEYOND_SCAN.keys())
+    def test_c1_bounds_the_supremum_past_the_scan(self, policy, gamma):
+        L = int(policy.ell_star)
+        far = _log2_ratio_far(policy, L, gamma)
+        _, _, c1_scan = _loop_scan(policy, L, gamma)
+        assert c1_scan < far - 50
+        try:
+            _, cert = scaled_unit_ball_bump(1.0, gamma, 4.0, [0.5], policy)
+        except ValueError as exc:
+            # kappa = 1/C1 is no double
+            assert far > 1074 and "amplitude 0.0 outside" in str(exc)
+        else:
+            assert math.log2(cert.C1) >= far
 
 
 class TestRadiusRecursion:
