@@ -183,7 +183,7 @@ def _validate_hat_params(p: HatBuildParams):
         raise ValueError("precondition violated: M >= 1")
     if p.C < 1:
         raise ValueError("precondition violated: C >= 1")
-    if p.C**8 > p.policy.c(p.n) * (1 + 1e-12):
+    if p.C**8 > p.policy.c(p.n):
         raise ValueError(
             f"precondition violated: C**8 <= c(n) (C**8={p.C ** 8}, c({p.n})={p.policy.c(p.n)})"
         )
@@ -398,8 +398,13 @@ def build_hat_network(params: HatBuildParams) -> NeuralNetwork:
 
 
 def choose_amplitude_base(policy: GrowthPolicy, n: int) -> float:
-    """Largest admissible C: c(n)**(1/8) (always >= 1 since c >= 1)."""
-    return float(policy.c(n)) ** 0.125
+    """Largest admissible C: the largest double whose float C**8 is at most
+    c(n), always >= 1; c(n)**(1/8) can round up (at c(n) = 3) and steps down."""
+    c = float(policy.c(n))
+    C = c**0.125
+    while C**8 > c:
+        C = math.nextafter(C, 0.0)
+    return C
 
 
 def verify_hat(hat: BuiltHat, num_points: int = 10_000, seed: int = 0) -> dict:
@@ -408,8 +413,9 @@ def verify_hat(hat: BuiltHat, num_points: int = 10_000, seed: int = 0) -> dict:
 
     Relative error is measured against the amplitude (the closed form's sup),
     since both functions vanish identically outside the support cube.  The
-    budget, depth and norm checks read ``hat.network``, which is materialized
-    once per hat."""
+    pass also needs ``hat.network``, materialized once per hat, to lie in
+    the budget class (check_membership at the weight budget) at exactly
+    depth L."""
     params = hat.params
     spec = params.spec
     rng = np.random.default_rng(seed)
@@ -424,13 +430,8 @@ def verify_hat(hat: BuiltHat, num_points: int = 10_000, seed: int = 0) -> dict:
     max_rel = max_abs / hat.amplitude if hat.amplitude > 0 else math.inf
     net = hat.network
     budget = hat.weight_budget()
-    w = net.weight_count()
-    ok = (
-        max_rel <= 1e-9
-        and w <= budget
-        and net.depth() == params.L
-        and net.max_norm() <= params.policy.c(params.n) * (1 + 1e-12)
-    )
+    member, _ = check_membership(net, SigmaBudget(budget, params.policy, input_dim=spec.d))
+    depth = net.depth()
     return {
         "params": {
             "n": params.n,
@@ -442,11 +443,11 @@ def verify_hat(hat: BuiltHat, num_points: int = 10_000, seed: int = 0) -> dict:
         },
         "max_abs_err": max_abs,
         "max_rel_err": max_rel,
-        "weight_count": w,
+        "weight_count": net.weight_count(),
         "budget": budget,
-        "depth": net.depth(),
+        "depth": depth,
         "max_norm": net.max_norm(),
-        "pass": bool(ok),
+        "pass": bool(max_rel <= 1e-9 and member and depth == params.L),
     }
 
 
@@ -507,14 +508,39 @@ def _log2_ratio_tail(policy: GrowthPolicy, L: int, gamma: float, log2_n0: float)
     which _pick_depth made positive, and B = -e kappa.  In u = ln n that is
     concave for B > 0, with its maximum at u = B/A - ln 2, and decreasing
     for B <= 0; so the bound is taken at the larger of that u and the scan's
-    end.  A bound past the float range (NaN from inf - inf) is inf."""
+    end.  A bound past the float range (NaN from inf - inf) is inf.  From
+    c(n) >= 1 the log2 is at most (gamma - e/2) log2 n, which for
+    gamma <= e/2 is largest at the scan's end; the smaller bound is taken."""
     e = 2.0**L - 1.0
     a = e * (policy.theta_c + 0.5) - gamma
     b = -e * policy.kappa_c
     ln2 = math.log(2.0)
     u = max(log2_n0 * ln2, b / a - ln2)
     tail = (b * math.log(ln2 + u) - a * u) / ln2 - e * math.log2(policy.scale)
-    return math.inf if math.isnan(tail) else tail
+    if math.isnan(tail):
+        tail = math.inf
+    if gamma <= e / 2.0:
+        tail = min(tail, (gamma - e / 2.0) * log2_n0)
+    return tail
+
+
+def _log2_ratio_gaps(policy: GrowthPolicy, L: int, gamma: float, log2_n: np.ndarray) -> float:
+    """An upper bound on log2 of n**gamma / (c(n)**e n**(e/2)), e = 2**L - 1,
+    over the integers inside the gaps (a, b) of the scan of _growth_scan.
+
+    There n**(gamma - e/2) is at most its value at a or at b, and c(n) is at
+    least max(1, ceil(scale a**theta ln(2m)**kappa)), m = b for kappa < 0
+    and a otherwise, since n**theta never decreases and ln(2n)**kappa is
+    monotone.  inf * 0 (NaN) in that product gives the bound c >= 1."""
+    n = np.exp2(log2_n).round()
+    gap = np.diff(n) > 1
+    a, b = n[:-1][gap], n[1:][gap]
+    e = 2.0**L - 1.0
+    m = b if policy.kappa_c < 0 else a
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = policy.scale * a**policy.theta_c * np.log(2.0 * m) ** policy.kappa_c
+    power = (gamma - e / 2.0) * np.log2(b if gamma > e / 2.0 else a)
+    return float(np.max(power - e * np.log2(np.fmax(1.0, np.ceil(raw))), initial=-math.inf))
 
 
 def scaled_unit_ball_bump(
@@ -543,7 +569,11 @@ def scaled_unit_ball_bump(
     # log2 of C1 = sup_n n**gamma / (c(n)**(2**L-1) n**((2**L-1)/2))
     log2_n, growth_c, growth_n = _growth_scan(policy, L)
     log_ratio = gamma * log2_n - growth_c - growth_n
-    log2_c1 = max(float(log_ratio.max()), _log2_ratio_tail(policy, L, gamma, float(log2_n[-1])))
+    log2_c1 = max(
+        float(log_ratio.max()),
+        _log2_ratio_gaps(policy, L, gamma, log2_n),
+        _log2_ratio_tail(policy, L, gamma, float(log2_n[-1])),
+    )
     c1 = float(np.exp2(log2_c1)) if log2_c1 < 1024 else math.inf
     # the first term is at most 1, so clamping the exponent at 0 (no
     # overflow) leaves the minimum as it is
@@ -570,73 +600,33 @@ def verify_unit_ball_certificate(
     """Re-check the two branches of the unit-ball argument.
 
     Branch 1 (t below the construction's weight budget): t**alpha * sup|g|
-    must stay <= 1.  Branch 2 (t at/above the budget): the scaled hat network
-    realizes g exactly within float tolerance while fitting the budget, so the
-    approximation distance is zero."""
+    must stay <= 1; it rises with t, so the largest such t is the one
+    checked.  Branch 2 (t at/above the budget): the hat at the certificate's
+    n passes verify_hat and its amplitude is at least g's.  Scaling its last
+    layer by g.amplitude / hat.amplitude <= 1 then realizes g within the
+    same weight count, depth and weight bound, so the approximation
+    distance is zero."""
     threshold = 16 * cert.n**8 * cert.d + 7 * cert.L
-    sup_g = g.amplitude
-    t_grid = np.unique(
-        np.clip(np.geomspace(1, max(1, min(t_max, threshold)), 64).round(), 1, None)
-    ).astype(np.int64)
-    failures = [
-        int(t) for t in t_grid if cert.alpha * math.log2(t) + math.log2(sup_g) > 1e-12
-    ]
-    branch1 = {
-        "t_checked": [int(t) for t in t_grid],
-        "failures": failures,
-        "pass": not failures,
-    }
+    t = max(1, min(t_max, threshold))
+    failures = [t] if cert.alpha * math.log2(t) + math.log2(g.amplitude) > 1e-12 else []
+    branch1 = {"t_checked": [t], "failures": failures, "pass": not failures}
 
     branch2 = {"checked": False, "pass": None}
     if t_max >= threshold:
         if 3 * cert.n**8 * cert.d > _MAX_MIDDLE_ROWS:
-            branch2 = {
-                "checked": False,
-                "pass": None,
-                "skipped_reason": "network too large to materialize",
-            }
+            branch2["skipped_reason"] = "network too large to materialize"
         else:
             C = choose_amplitude_base(policy, cert.n)
-            hat = build_hat(
-                HatBuildParams(n=cert.n, L=cert.L, C=C, spec=g.spec, policy=policy)
-            )
-            # amplitude rescaling factor in [0, 1]
-            log2_factor = math.log2(g.amplitude) - hat.log2_amplitude
-            factor = float(np.exp2(log2_factor))
-            net = hat.network
-            last = net.layers[-1]
-            scaled_last = Layer(
-                SparseMatrix(
-                    last.weights.shape,
-                    last.weights.rows,
-                    last.weights.cols,
-                    last.weights.vals * factor,
-                ),
-                last.bias,
-            )
-            scaled = NeuralNetwork(net.layers[:-1] + (scaled_last,))
-            ok_member, violations = check_membership(
-                scaled, SigmaBudget(threshold, policy, input_dim=cert.d)
-            )
-            rng = np.random.default_rng(0)
-            half = 1.2 / g.spec.M
-            pts = np.asarray(g.spec.y) + rng.uniform(
-                -half, half, size=(256, cert.d)
-            )
-            approx = hat.realize(pts) * factor
-            rel = float(np.max(np.abs(approx - g(pts)))) / g.amplitude
+            hat = build_hat(HatBuildParams(n=cert.n, L=cert.L, C=C, spec=g.spec, policy=policy))
+            rep = verify_hat(hat, num_points=256)
             branch2 = {
                 "checked": True,
-                "member": ok_member,
-                "violations": violations,
-                "max_rel_err": rel,
-                "pass": bool(ok_member and rel <= 1e-9),
+                **{k: rep[k] for k in ("max_rel_err", "weight_count", "budget", "max_norm")},
+                "pass": bool(rep["pass"] and g.amplitude <= hat.amplitude),
             }
-
-    overall = branch1["pass"] and (branch2["pass"] is not False)
     return {
         "threshold": threshold,
         "branch1": branch1,
         "branch2": branch2,
-        "pass": bool(overall),
+        "pass": bool(branch1["pass"] and branch2["pass"] is not False),
     }

@@ -118,6 +118,22 @@ class TestVerifyHat:
     def test_bad_params_exit_2(self):
         assert run(["verify-hat", "--M", "0.5"]) == 2
 
+    # c(1)**(1/8) rounds up at these scales: its float eighth power is above
+    # c(1), and the default C used to store 3.0000000000000004 at scale 3
+    @pytest.mark.parametrize("scale", [3, 5, 6, 7, 11, 13])
+    def test_default_C_stores_no_weight_above_c(self, scale, capsys):
+        code = run(["verify-hat", "--n", "1", "--L", "5", "--M", "2", "--scale", str(scale)])
+        report = json.loads(capsys.readouterr().out)
+        assert report["max_norm"] <= scale
+        assert report["pass"] and code == 0
+
+    def test_C_whose_eighth_power_exceeds_c_exits_2(self, capsys):
+        C = 3**0.125
+        assert C**8 > 3
+        argv = ["verify-hat", "--n", "1", "--L", "5", "--M", "2", "--scale", "3", "--C", repr(C)]
+        assert run(argv) == 2
+        assert "precondition violated: C**8 <= c(n)" in capsys.readouterr().err
+
     @staticmethod
     def _edit_stored(tmp_path, edit, indent=None):
         """Build the M=2 hat, apply edit to its JSON layers, rewrite the file

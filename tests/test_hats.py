@@ -337,8 +337,26 @@ class TestBuildHat:
         assert C == pytest.approx(256.0 ** (1 / 8))
         assert C**8 <= pol.c(1) * (1 + 1e-12)
 
+    @given(scale=st.floats(1.0, 1e6), theta=st.floats(0.0, 2.0), n=st.integers(1, 50))
+    @settings(max_examples=200, deadline=None)
+    def test_amplitude_base_is_the_largest_double_that_fits(self, scale, theta, n):
+        pol = GrowthPolicy(theta_c=theta, scale=scale, depth_cap=7)
+        C, c = choose_amplitude_base(pol, n), pol.c(n)
+        assert C**8 <= c < math.nextafter(C, math.inf) ** 8
+
 
 class TestVerifyHat:
+    def test_fails_outside_the_budget_class(self):
+        # c falls like log(2n)**-2: C**8 = c(1) = 2082, but the n = 1 hat has
+        # up to 51 weights, and c(51) = 47
+        pol = GrowthPolicy(kappa_c=-2.0, scale=1000.0, depth_cap=5)
+        C = choose_amplitude_base(pol, 1)
+        hat = build_hat(HatBuildParams(n=1, L=5, C=C, spec=spec1(M=2.0), policy=pol))
+        rep = verify_hat(hat, num_points=500)
+        assert rep["max_rel_err"] <= 1e-9 and rep["depth"] == 5
+        assert rep["max_norm"] > pol.c(rep["budget"])
+        assert not rep["pass"]
+
     def test_passes_on_valid_params(self):
         rep = verify_hat(build_hat(hat_params(n=1, L=6, C=1.0, M=2.0, d=2)), num_points=2000)
         assert rep["pass"]
@@ -438,6 +456,31 @@ class TestVerifyUnitBallCertificate:
         bad = ScaledBump(spec=g.spec, amplitude=1.0)
         rep = verify_unit_ball_certificate(bad, cert, POLICY5, t_max=1000)
         assert rep["branch1"]["failures"]
+        assert not rep["pass"]
+
+    # c(1)**(1/8) rounds up at these scales: its float eighth power is
+    # above c(1), and the hat stored 3.0000000000000004 at scale 3
+    @pytest.mark.parametrize("scale", [3, 5, 6, 7, 11, 13])
+    def test_both_branches_pass_where_the_eighth_root_rounds_up(self, scale):
+        pol = GrowthPolicy(scale=float(scale), depth_cap=5)
+        g, cert = scaled_unit_ball_bump(1.0, 1.0, 1.0, (0.5,), pol)
+        threshold = 16 * cert.n**8 * cert.d + 7 * cert.L
+        rep = verify_unit_ball_certificate(g, cert, pol, t_max=threshold)
+        assert rep["branch2"]["checked"]
+        assert rep["branch2"]["max_norm"] <= scale
+        assert rep["pass"]
+
+    def test_amplitude_above_the_hats_fails_branch2(self):
+        g, cert = scaled_unit_ball_bump(1.0, 1.0, 1.0, (0.5,), POLICY5)
+        hat = build_hat(
+            HatBuildParams(n=cert.n, L=cert.L, C=1.0, spec=g.spec, policy=POLICY5)
+        )
+        above = ScaledBump(spec=g.spec, amplitude=math.nextafter(hat.amplitude, 1.0))
+        threshold = 16 * cert.n**8 * cert.d + 7 * cert.L
+        rep = verify_unit_ball_certificate(above, cert, POLICY5, t_max=threshold)
+        # the hat itself verifies; only the amplitude check fails
+        assert rep["branch2"]["checked"] and rep["branch2"]["max_rel_err"] <= 1e-9
+        assert not rep["branch2"]["pass"]
         assert not rep["pass"]
 
     def test_small_t_max_skips_branch2(self):

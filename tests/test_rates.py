@@ -149,11 +149,29 @@ def _loop_scan(policy, L, gamma, n_scan=1_000_000):
     return grid, c0, c1
 
 
+def _loop_gaps(policy, L, gamma, grid):
+    """The largest bound on the C1 log ratio over the gaps of more than one
+    integer between the grid's points, by a plain loop: n**(gamma - e/2) at
+    whichever end of the gap it is larger, and c(n) at least max(1,
+    ceil(scale a**theta ln(2m)**kappa)), m = b for kappa < 0 and a otherwise."""
+    e = 2.0**L - 1.0
+    best = -math.inf
+    for a, b in zip(grid, grid[1:]):
+        if b - a > 1:
+            m = b if policy.kappa_c < 0 else a
+            raw = policy.scale * a**policy.theta_c * math.log(2.0 * m) ** policy.kappa_c
+            power = max((gamma - e / 2.0) * math.log2(a), (gamma - e / 2.0) * math.log2(b))
+            best = max(best, power - e * math.log2(max(1.0, math.ceil(raw))))
+    return best
+
+
 class TestGrowthScan:
     @pytest.mark.parametrize("policy, gamma", SCAN_CASES.values(), ids=SCAN_CASES.keys())
     def test_c0_and_c1_match_loop(self, policy, gamma):
         L = int(policy.ell_star)
         grid, c0, c1 = _loop_scan(policy, L, gamma)
+        # the certificate also bounds the integers the grid steps over
+        c1 = max(c1, _loop_gaps(policy, L, gamma, grid))
         log2_n, growth_c, growth_n = _growth_scan(policy, L)
         assert log2_n.tolist() == pytest.approx([math.log2(n) for n in grid], rel=1e-12)
         growth = [(2.0**L - 1.0) * (math.log2(policy.c(n)) + math.log2(n) / 2.0) for n in grid]
@@ -183,6 +201,39 @@ class TestGrowthScan:
             assert far > 1074 and "amplitude 0.0 outside" in str(exc)
         else:
             assert math.log2(cert.C1) >= far
+
+    # the inner-supremum and parametric cases, and a c that falls, then rises,
+    # whose supremum lies at n = 20,902
+    DENSE_CASES = {
+        **SCAN_CASES,
+        "falls-then-rises": (
+            GrowthPolicy(theta_c=0.5, kappa_c=-3.0, scale=50.0, depth_cap=5),
+            22.5,
+        ),
+    }
+
+    @pytest.mark.parametrize("policy, gamma", DENSE_CASES.values(), ids=DENSE_CASES.keys())
+    def test_c1_bounds_a_dense_scan(self, policy, gamma):
+        # every integer up to the scan's end, 10**6, then 400,000 geometric
+        # points up to 10**8
+        n = np.concatenate(
+            [np.arange(1, 10**6 + 1.0), np.geomspace(10**6, 10**8, 400_000).round()]
+        )
+        e = 2.0**policy.ell_star - 1.0
+        log2_n = np.log2(n)
+        dense = np.max(gamma * log2_n - e * np.log2(policy.c(n)) - e / 2.0 * log2_n)
+        _, cert = scaled_unit_ball_bump(1.0, gamma, 4.0, [0.5], policy)
+        assert math.log2(cert.C1) >= dense
+
+    def test_c1_past_the_scan_uses_c_at_least_one(self):
+        policy, gamma = BEYOND_SCAN["kappa-c-2"]
+        _, cert = scaled_unit_ball_bump(1.0, gamma, 4.0, [0.5], policy)
+        # c(n) >= 1 bounds the ratio by n**(gamma - e/2) = n**-0.5 past the
+        # scan's end, 10**6; the supremum, where c reaches 1, is 2**-22.3
+        assert math.log2(cert.C1) == pytest.approx(-0.5 * math.log2(1e6), rel=1e-12)
+        assert math.log2(cert.C1) >= _log2_ratio_far(policy, cert.L, gamma)
+        # C1 < 1: kappa is the budget term
+        assert cert.kappa == ((16 + 7 * cert.L) * 2**8) ** -1.0
 
 
 class TestRadiusRecursion:
