@@ -33,7 +33,6 @@ from .hats import (
     HatBuildParams,
     UnitBallCertificate,
     build_hat,
-    build_hat_network,
     lambda_network,
     lambda_p,
     scaled_unit_ball_bump,

@@ -274,7 +274,9 @@ def _hat_params(cfg) -> HatBuildParams:
             f"d must be an integer in [1, {high}] with {batch}={cfg[batch]}, got {cfg['d']}"
         )
     policy = _policy_from(cfg)
-    C = choose_amplitude_base(policy, cfg["n"]) if cfg["C"] is None else cfg["C"]
+    C = cfg["C"]
+    if C is None:
+        C = choose_amplitude_base(policy, cfg["n"], cfg["d"], cfg["L"])
     y = [0.5] * cfg["d"] if cfg["y"] is None else cfg["y"]
     spec = BumpSpec(d=cfg["d"], M=cfg["M"], y=tuple(y), p=2)
     return HatBuildParams(n=cfg["n"], L=cfg["L"], C=C, spec=spec, policy=policy)

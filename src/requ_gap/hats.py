@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -149,12 +149,17 @@ def lambda_network(M: float, y: float) -> NeuralNetwork:
 # explicit hat architecture
 # ---------------------------------------------------------------------------
 
+def _weight_budget(n: int, d: int, L: int) -> int:
+    """The weight budget t = 16 n**8 d + 7L of the hat for (n, d, L)."""
+    return 16 * n**8 * d + 7 * L
+
+
 @dataclass(frozen=True)
 class HatBuildParams:
-    """Inputs of the explicit hat construction.
+    """Inputs of the explicit hat construction, checked on creation.
 
-    n is the weight-budget driver, L >= 5 the exact depth, C >= 1 the
-    amplitude base with C**8 <= c(n)."""
+    n is the weight-budget driver, L >= 5 the exact depth, at most the
+    policy's depth_cap, and C >= 1 the amplitude base with C**8 <= c(n)."""
 
     n: int
     L: int
@@ -168,29 +173,28 @@ class HatBuildParams:
         # the amplitude divides by M**8 and the layers by M**2 and M**4
         if not self.spec.M < 2.0**128:
             raise ValueError("width parameter M must be < 2**128 (M**8 finite)")
-
-
-def _validate_hat_params(p: HatBuildParams):
-    if p.n < 1:
-        raise ValueError("precondition violated: n >= 1")
-    if p.L < 5:
-        raise ValueError("precondition violated: L >= 5")
-    if p.L > p.policy.ell(p.n):
-        raise ValueError(
-            f"precondition violated: L <= ell(n) (L={p.L}, ell({p.n})={p.policy.ell(p.n)})"
-        )
-    if p.spec.M < 1:
-        raise ValueError("precondition violated: M >= 1")
-    if p.C < 1:
-        raise ValueError("precondition violated: C >= 1")
-    if p.C**8 > p.policy.c(p.n):
-        raise ValueError(
-            f"precondition violated: C**8 <= c(n) (C**8={p.C ** 8}, c({p.n})={p.policy.c(p.n)})"
-        )
-    if p.spec.p != 2:
-        raise ValueError("precondition violated: network builder requires p == 2")
-    if any(v < 0.0 or v > 1.0 for v in p.spec.y):
-        raise ValueError("precondition violated: y in [0,1]^d")
+        if self.n < 1:
+            raise ValueError("precondition violated: n >= 1")
+        if self.L < 5:
+            raise ValueError("precondition violated: L >= 5")
+        cap = self.policy.depth_cap
+        if self.L > cap:
+            raise ValueError(
+                f"precondition violated: L <= ell(n) (L={self.L}, ell({self.n})={cap})"
+            )
+        if self.spec.M < 1:
+            raise ValueError("precondition violated: M >= 1")
+        if self.C < 1:
+            raise ValueError("precondition violated: C >= 1")
+        c = self.policy.c(self.n)
+        if self.C**8 > c:
+            raise ValueError(
+                f"precondition violated: C**8 <= c(n) (C**8={self.C ** 8}, c({self.n})={c})"
+            )
+        if self.spec.p != 2:
+            raise ValueError("precondition violated: network builder requires p == 2")
+        if any(v < 0.0 or v > 1.0 for v in self.spec.y):
+            raise ValueError("precondition violated: y in [0,1]^d")
 
 
 @dataclass(frozen=True)
@@ -207,10 +211,6 @@ class BuiltHat:
 
     params: HatBuildParams
     log2_amplitude: float
-
-    @property
-    def spec(self) -> BumpSpec:
-        return self.params.spec
 
     @cached_property
     def amplitude(self) -> float:
@@ -240,23 +240,38 @@ class BuiltHat:
 
     @cached_property
     def gain(self) -> Fraction:
-        """Exact point-independent factor multiplying the bump channel.
+        """Exact point-independent factor h * v4**(2**(L-5)) multiplying the
+        bump channel.
 
         Computed in rational arithmetic over the stored double weights, so it
-        is the exact constant the stored network applies.  Raises ValueError,
-        before the power is formed, when it would have more than
-        _MAX_GAIN_BITS bits: a gain near 1 passes the float gate of realize,
-        but at d >= 2 its base has hundreds of bits."""
+        is the exact constant the stored network applies.  Its size is read
+        from the exact base v4, and ValueError is raised for a gain of
+        2**1020 or more, where the output and the differences taken of it
+        overflow double precision.  Two checks come before the power is
+        formed: a log2 of 1100 or more, taken in floats, and an exact power
+        of more than _MAX_GAIN_BITS bits (a gain near 1 at d >= 2, whose
+        base has hundreds of bits)."""
         c = self._constants
         p = self.params
         u3 = Fraction(c["b23"]) ** 2
         s4 = p.n**8 * c["d"] * u3
         v4 = s4 * s4
-        # bit_length - 1 is floor(log2), so a base of 1 costs nothing
-        bits = (v4.numerator.bit_length() + v4.denominator.bit_length() - 2) << (p.L - 5)
-        if bits > _MAX_GAIN_BITS:
-            raise ValueError(f"the exact gain at L={p.L} would have 2**{math.log2(bits):.1f} bits")
-        return Fraction(c["h"]) * v4 ** (2 ** (p.L - 5))
+        log2_gain = math.log2(c["h"]) + 2.0 ** (p.L - 5) * (
+            math.log2(v4.numerator) - math.log2(v4.denominator)
+        )
+        if log2_gain < 1100:
+            # bit_length - 1 is floor(log2), so a base of 1 costs nothing
+            bits = (v4.numerator.bit_length() + v4.denominator.bit_length() - 2) << (p.L - 5)
+            if bits > _MAX_GAIN_BITS:
+                raise ValueError(
+                    f"the exact gain at L={p.L} would have 2**{math.log2(bits):.1f} bits"
+                )
+            g = Fraction(c["h"]) * v4 ** (2 ** (p.L - 5))
+            if g.numerator.bit_length() - g.denominator.bit_length() < 1020:
+                return g
+            log2_gain = math.log2(g.numerator) - math.log2(g.denominator)
+        text = f"{log2_gain:.1f}" if log2_gain < 1e6 else f"{log2_gain:.3g}"
+        raise ValueError(f"the network's gain 2**{text} is too large for double precision")
 
     @cached_property
     def network(self) -> NeuralNetwork:
@@ -352,23 +367,9 @@ class BuiltHat:
         return v[0] if x.ndim == 1 else v
 
     def realize(self, x):
-        """Accurate realization of the stored network (gain * bump channel).
-
-        Raises ValueError once the gain reaches about 2**1020, where the
-        output and the differences taken of it overflow double precision.  A
-        gain far past that is rejected on its log2 taken in floats, before
-        the exact power, of about 2**(L + 5) bits, is formed."""
-        c, p = self._constants, self.params
-        log2_gain = math.log2(c["h"]) + 2.0 ** (p.L - 4) * (
-            8 * math.log2(p.n) + math.log2(c["d"]) + 2 * math.log2(c["b23"])
-        )
-        if log2_gain < 1100:
-            g = self.gain
-            if g.numerator.bit_length() - g.denominator.bit_length() < 1020:
-                return self.bump_channel(x) * float(g)
-            log2_gain = math.log2(g.numerator) - math.log2(g.denominator)
-        text = f"{log2_gain:.1f}" if log2_gain < 1e6 else f"{log2_gain:.3g}"
-        raise ValueError(f"the network's gain 2**{text} is too large for double precision")
+        """Accurate realization of the stored network (gain * bump channel);
+        raises ValueError where gain does."""
+        return self.bump_channel(x) * float(self.gain)
 
     def closed_form(self, x):
         """amplitude * vartheta_{M,y}(x), the target of the construction."""
@@ -376,12 +377,11 @@ class BuiltHat:
 
     def weight_budget(self) -> int:
         p = self.params
-        return 16 * p.n**8 * p.spec.d + 7 * p.L
+        return _weight_budget(p.n, p.spec.d, p.L)
 
 
 def build_hat(params: HatBuildParams) -> BuiltHat:
-    """Validate the construction's preconditions and assemble the hat."""
-    _validate_hat_params(params)
+    """The hat of checked parameters, with its log2 amplitude."""
     p = params
     log2_amp = (
         (2.0**p.L - 1.0) * math.log2(p.C)
@@ -392,15 +392,12 @@ def build_hat(params: HatBuildParams) -> BuiltHat:
     return BuiltHat(params=p, log2_amplitude=log2_amp)
 
 
-def build_hat_network(params: HatBuildParams) -> NeuralNetwork:
-    """The explicit sparse architecture (materialized layer list)."""
-    return build_hat(params).network
-
-
-def choose_amplitude_base(policy: GrowthPolicy, n: int) -> float:
-    """Largest admissible C: the largest double whose float C**8 is at most
-    c(n), always >= 1; c(n)**(1/8) can round up (at c(n) = 3) and steps down."""
-    c = float(policy.c(n))
+def choose_amplitude_base(policy: GrowthPolicy, n: int, d: int, L: int) -> float:
+    """Largest C whose hat lies in its budget class: the largest double whose
+    float C**8 is at most min(c(n), c(t)) at the weight budget
+    t = 16 n**8 d + 7L, always >= 1.  c(t) is the smaller where c falls
+    (negative kappa_c); the eighth root can round up (at c = 3) and steps down."""
+    c = float(min(policy.c(n), policy.c(_weight_budget(n, d, L))))
     C = c**0.125
     while C**8 > c:
         C = math.nextafter(C, 0.0)
@@ -460,8 +457,8 @@ class UnitBallCertificate:
     """Witnesses that kappa * M**(-64a/(8a+g)) * vartheta lies in the unit ball.
 
     kappa = min{ ((16d + 7L) (2 n0)**8)**(-alpha), 1/C1 } where n0 is the
-    least budget whose depth allowance reaches L, which is 1 since
-    ell(n) = depth_cap >= L at every n, and C1 bounds
+    least budget whose depth allowance reaches L, which is 1 since the
+    allowance is depth_cap >= L at every n, and C1 bounds
     n**gamma / (c(n)**(2**L-1) n**((2**L-1)/2)) over all n."""
 
     alpha: float
@@ -487,14 +484,14 @@ class ScaledBump:
 
 
 def _pick_depth(policy: GrowthPolicy, gamma: float) -> int:
-    """Smallest usable depth L in [5, ell*] making the C1 supremum finite."""
+    """Smallest usable depth L in [5, depth_cap] making the C1 supremum finite."""
     per = policy.theta_c + 0.5
     L = 5
     while gamma >= (2.0**L - 1.0) * per:
         L += 1
         if L > 60:
             raise ValueError("gamma out of range: no finite depth works")
-    if policy.ell_star != math.inf and L > policy.ell_star:
+    if L > policy.depth_cap:
         raise ValueError("gamma >= gamma_flat for this policy")
     return L
 
@@ -565,7 +562,7 @@ def scaled_unit_ball_bump(
     y = tuple(np.atleast_1d(np.asarray(y, dtype=np.float64)))
     d = len(y)
     L = _pick_depth(policy, gamma)
-    n0 = 1  # ell(1) = depth_cap >= L
+    n0 = 1  # depth_cap >= L at every n
     # log2 of C1 = sup_n n**gamma / (c(n)**(2**L-1) n**((2**L-1)/2))
     log2_n, growth_c, growth_n = _growth_scan(policy, L)
     log_ratio = gamma * log2_n - growth_c - growth_n
@@ -606,7 +603,7 @@ def verify_unit_ball_certificate(
     layer by g.amplitude / hat.amplitude <= 1 then realizes g within the
     same weight count, depth and weight bound, so the approximation
     distance is zero."""
-    threshold = 16 * cert.n**8 * cert.d + 7 * cert.L
+    threshold = _weight_budget(cert.n, cert.d, cert.L)
     t = max(1, min(t_max, threshold))
     failures = [t] if cert.alpha * math.log2(t) + math.log2(g.amplitude) > 1e-12 else []
     branch1 = {"t_checked": [t], "failures": failures, "pass": not failures}
@@ -616,7 +613,7 @@ def verify_unit_ball_certificate(
         if 3 * cert.n**8 * cert.d > _MAX_MIDDLE_ROWS:
             branch2["skipped_reason"] = "network too large to materialize"
         else:
-            C = choose_amplitude_base(policy, cert.n)
+            C = choose_amplitude_base(policy, cert.n, cert.d, cert.L)
             hat = build_hat(HatBuildParams(n=cert.n, L=cert.L, C=C, spec=g.spec, policy=policy))
             rep = verify_hat(hat, num_points=256)
             branch2 = {

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from typing import BinaryIO, Callable, Iterator, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -280,10 +280,11 @@ INF = float("inf")
 
 @dataclass(frozen=True)
 class GrowthPolicy:
-    """Depth-growth and coefficient-growth functions.
+    """Coefficient-growth function and depth allowance.
 
-    c(n) = max(1, ceil(scale * n**theta_c * log(2n)**kappa_c)) and
-    ell(n) = depth_cap (an integer >= 5, or inf for unbounded depth).
+    c(n) = max(1, ceil(scale * n**theta_c * log(2n)**kappa_c)); the depth
+    allowance ell(n) is depth_cap at every n (an integer >= 5, or inf for
+    unbounded depth).
     ``kind`` names this form and accepts only "parametric".
     """
 
@@ -305,12 +306,6 @@ class GrowthPolicy:
         if self.depth_cap != INF and (self.depth_cap < 5 or self.depth_cap != int(self.depth_cap)):
             raise ValueError("depth_cap must be an integer >= 5 or inf")
 
-    def ell(self, n: int) -> float:
-        """Depth limit at weight budget n."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return self.depth_cap
-
     def c(self, n) -> float:
         """Coefficient magnitude limit at weight budget n (vectorized)."""
         narr = np.asarray(n, dtype=np.float64)
@@ -330,18 +325,6 @@ class GrowthPolicy:
         out = np.maximum(1.0, np.ceil(raw))
         return float(out) if np.isscalar(n) else out
 
-    @property
-    def ell_star(self) -> float:
-        return self.depth_cap
-
-    @property
-    def c_star(self) -> float:
-        if self.theta_c > 0 or self.kappa_c > 0:
-            return INF
-        if self.kappa_c < 0:
-            return self.c(1)
-        return float(max(1.0, np.ceil(self.scale)))
-
 
 @dataclass(frozen=True)
 class SigmaBudget:
@@ -358,14 +341,6 @@ class SigmaBudget:
         if self.n < 1:
             raise ValueError("budget n must be >= 1")
 
-    @property
-    def depth_limit(self) -> float:
-        return self.policy.ell(self.n)
-
-    @property
-    def norm_limit(self) -> float:
-        return self.policy.c(self.n)
-
 
 def check_membership(net: NeuralNetwork, budget: SigmaBudget):
     """Check the budget constraints; returns (ok, list-of-violation strings).
@@ -380,10 +355,12 @@ def check_membership(net: NeuralNetwork, budget: SigmaBudget):
         violations.append(f"output_dim {net.output_dim} != 1")
     if net.weight_count() > budget.n:
         violations.append(f"weight_count {net.weight_count()} > n {budget.n}")
-    if net.depth() > budget.depth_limit:
-        violations.append(f"depth {net.depth()} > ell(n) {budget.depth_limit}")
-    if net.max_norm() > budget.norm_limit:
-        violations.append(f"max_norm {net.max_norm()} > c(n) {budget.norm_limit}")
+    policy = budget.policy
+    if net.depth() > policy.depth_cap:
+        violations.append(f"depth {net.depth()} > ell(n) {policy.depth_cap}")
+    c = policy.c(budget.n)
+    if net.max_norm() > c:
+        violations.append(f"max_norm {net.max_norm()} > c(n) {c}")
     return (not violations, violations)
 
 

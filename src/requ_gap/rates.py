@@ -80,11 +80,11 @@ class LipschitzBoundInput:
 def gamma_closed_form(policy: GrowthPolicy) -> tuple[float, float]:
     """(gamma_flat, gamma_sharp) of a growth policy.
 
-    Both equal (2**ell_star - 1) * (theta_c + 1/2); (inf, inf) when the depth
-    allowance is unbounded or 2**ell_star is past the float range, the limit
+    Both equal (2**depth_cap - 1) * (theta_c + 1/2); (inf, inf) when the depth
+    allowance is unbounded or 2**depth_cap is past the float range, the limit
     since theta_c >= 0."""
     try:
-        g = (2.0**policy.ell_star - 1.0) * (policy.theta_c + 0.5)
+        g = (2.0**policy.depth_cap - 1.0) * (policy.theta_c + 0.5)
     except OverflowError:
         g = INF
     return (g, g)
@@ -103,7 +103,7 @@ def gamma_numeric(policy: GrowthPolicy, n_max: int) -> tuple[float, float]:
     (nan, nan)."""
     if n_max < 100:
         raise ValueError("n_max must be >= 100")
-    if policy.ell_star == INF:
+    if policy.depth_cap == INF:
         raise ValueError("unbounded depth allowance: the exponent is infinite")
     grid = np.unique(np.geomspace(100, n_max, 400).round()).astype(np.int64)
     if grid.size < 3:
@@ -112,7 +112,7 @@ def gamma_numeric(policy: GrowthPolicy, n_max: int) -> tuple[float, float]:
     # the inner max over L <= depth_cap is attained at L = depth_cap since
     # c, n >= 1
     with np.errstate(over="ignore", invalid="ignore"):
-        e = np.float64(2.0) ** policy.ell_star - 1.0
+        e = np.float64(2.0) ** policy.depth_cap - 1.0
         y = e * np.log2(cvals) + (e / 2.0) * np.log2(grid)
     if not np.isfinite(y).all():
         return (INF, INF)
@@ -154,7 +154,10 @@ def radius_recursion(R0: float, C: float, n: int, j: int) -> BoundValue:
     return BoundValue.from_log2(log2_r)
 
 
-def lipschitz_log2(inp: LipschitzBoundInput) -> float:
+def lipschitz_bound(inp: LipschitzBoundInput) -> BoundValue:
+    """Worst-case Lipschitz constant of any realization within the budget:
+    2**(2**L + L - 3) * R**(2**(L-1) - 1) * C**(2**L - 1) * n**((2**L - 1)/2),
+    times d in the sup-norm variants."""
     R = math.sqrt(inp.d) if inp.norm.startswith("unit-cube") else inp.R
     log2_v = (
         (2.0**inp.L + inp.L - 3.0)
@@ -164,14 +167,7 @@ def lipschitz_log2(inp: LipschitzBoundInput) -> float:
     )
     if inp.norm in ("linf", "unit-cube-linf"):
         log2_v += math.log2(inp.d)
-    return log2_v
-
-
-def lipschitz_bound(inp: LipschitzBoundInput) -> BoundValue:
-    """Worst-case Lipschitz constant of any realization within the budget:
-    2**(2**L + L - 3) * R**(2**(L-1) - 1) * C**(2**L - 1) * n**((2**L - 1)/2),
-    times d in the sup-norm variants."""
-    return BoundValue.from_log2(lipschitz_log2(inp))
+    return BoundValue.from_log2(log2_v)
 
 
 def rate_window(alpha: float, d: int, policy: GrowthPolicy) -> RateWindow:

@@ -636,7 +636,7 @@ def reconstruction_error_bound(
     d**((2**(L-1) - 1)/2) * C0, where C0 bounds the growth expression by
     n**gamma.  Assembled in log2 space; raises ValueError when C2 exceeds
     the float range, which deep policies reach."""
-    L = policy.ell_star
+    L = policy.depth_cap
     if L == math.inf:
         raise ValueError("policy must have a bounded depth allowance")
     L = int(L)

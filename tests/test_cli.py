@@ -134,6 +134,24 @@ class TestVerifyHat:
         assert run(argv) == 2
         assert "precondition violated: C**8 <= c(n)" in capsys.readouterr().err
 
+    # c falls like log(2n)**-2: c(1) = 2082, and the n = 1 hat has a weight
+    # budget of 51, where c(51) = 47
+    FALLING_C = ["verify-hat", "--M", "2", "--kappa-c", "-2", "--scale", "1000"]
+
+    def test_default_C_meets_c_at_the_weight_budget_where_c_falls(self, capsys):
+        code = run(self.FALLING_C)
+        report = json.loads(capsys.readouterr().out)
+        assert report["budget"] == 51
+        assert report["max_norm"] <= 47
+        assert report["pass"] and code == 0
+
+    def test_explicit_C_above_c_at_the_weight_budget_fails(self, capsys):
+        # 2.5**8 = 1526 is at most c(1), so the hat builds, but above c(51)
+        code = run(self.FALLING_C + ["--C", "2.5"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["max_norm"] > 47
+        assert not report["pass"] and code == 1
+
     @staticmethod
     def _edit_stored(tmp_path, edit, indent=None):
         """Build the M=2 hat, apply edit to its JSON layers, rewrite the file

@@ -18,7 +18,6 @@ from requ_gap.hats import (
     HatBuildParams,
     ScaledBump,
     build_hat,
-    build_hat_network,
     choose_amplitude_base,
     lambda_network,
     lambda_p,
@@ -304,7 +303,7 @@ class TestBuildHat:
     @pytest.mark.parametrize("d", [1, 2])
     def test_realize_agrees_with_exact_rational_pass_at_n2(self, d):
         # C = 256**(1/8) = 2: 2,836 stored weights at d = 1, 6,172 at d = 2
-        C = choose_amplitude_base(GrowthPolicy(kind="parametric", scale=256.0), 2)
+        C = choose_amplitude_base(GrowthPolicy(kind="parametric", scale=256.0), 2, d, 5)
         hat = build_hat(hat_params(n=2, L=5, C=C, M=2.0, d=d))
         rng = np.random.default_rng(19)
         pts = 0.5 + rng.uniform(-0.4, 0.4, size=(4, d))
@@ -333,7 +332,7 @@ class TestBuildHat:
 
     def test_choose_amplitude_base(self):
         pol = GrowthPolicy(kind="parametric", scale=256.0, depth_cap=7)
-        C = choose_amplitude_base(pol, 1)
+        C = choose_amplitude_base(pol, 1, 1, 5)
         assert C == pytest.approx(256.0 ** (1 / 8))
         assert C**8 <= pol.c(1) * (1 + 1e-12)
 
@@ -341,8 +340,48 @@ class TestBuildHat:
     @settings(max_examples=200, deadline=None)
     def test_amplitude_base_is_the_largest_double_that_fits(self, scale, theta, n):
         pol = GrowthPolicy(theta_c=theta, scale=scale, depth_cap=7)
-        C, c = choose_amplitude_base(pol, n), pol.c(n)
+        C, c = choose_amplitude_base(pol, n, 1, 5), pol.c(n)
         assert C**8 <= c < math.nextafter(C, math.inf) ** 8
+
+    def test_amplitude_base_meets_c_at_the_weight_budget_where_c_falls(self):
+        # c(1) = 2082, but the n = 1 hat has a weight budget of 51, and c(51) = 47
+        pol = GrowthPolicy(kappa_c=-2.0, scale=1000.0, depth_cap=5)
+        C = choose_amplitude_base(pol, 1, 1, 5)
+        assert pol.c(51) == 47
+        assert C**8 <= 47 < math.nextafter(C, math.inf) ** 8
+        rep = verify_hat(build_hat(hat_params(C=C, M=2.0, policy=pol)), num_points=500)
+        assert rep["budget"] == 51 and rep["max_norm"] <= 47
+        assert rep["pass"]
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n": 0}, "n >= 1"),
+            ({"L": 4}, "L >= 5"),
+            ({"L": 8}, "L <= ell"),
+            ({"M": 0.5}, "M >= 1"),
+            ({"C": 0.5}, "C >= 1"),
+            ({"C": 2.5}, r"C\*\*8 <= c"),
+            ({"y": (1.5,)}, r"y in \[0,1\]\^d"),
+        ],
+    )
+    def test_params_are_checked_on_creation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            hat_params(**kwargs)
+
+    def test_gain_past_double_precision_raises(self):
+        # the hat of `lipschitz --L 10 --depth-cap 10 --scale 256`: C = 2
+        pol = GrowthPolicy(scale=256.0, depth_cap=10)
+        hat = build_hat(hat_params(L=10, C=2.0, policy=pol))
+        with pytest.raises(ValueError, match=r"gain 2\*\*1023\.0 is too large"):
+            hat.gain
+
+    def test_gain_far_past_double_precision_raises_before_the_power(self):
+        # its exact power would have about 2**45 bits
+        pol = GrowthPolicy(scale=256.0, depth_cap=40)
+        hat = build_hat(hat_params(L=40, C=2.0, M=2.0, policy=pol))
+        with pytest.raises(ValueError, match=r"gain 2\*\*1\.1e\+12 is too large"):
+            hat.gain
 
 
 class TestVerifyHat:
@@ -350,7 +389,8 @@ class TestVerifyHat:
         # c falls like log(2n)**-2: C**8 = c(1) = 2082, but the n = 1 hat has
         # up to 51 weights, and c(51) = 47
         pol = GrowthPolicy(kappa_c=-2.0, scale=1000.0, depth_cap=5)
-        C = choose_amplitude_base(pol, 1)
+        # one ulp below c(1)**(1/8), which rounds up
+        C = math.nextafter(pol.c(1) ** 0.125, 0.0)
         hat = build_hat(HatBuildParams(n=1, L=5, C=C, spec=spec1(M=2.0), policy=pol))
         rep = verify_hat(hat, num_points=500)
         assert rep["max_rel_err"] <= 1e-9 and rep["depth"] == 5

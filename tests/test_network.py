@@ -33,7 +33,7 @@ from requ_gap.network import (
     stored_as,
     sum_networks,
 )
-from requ_gap.hats import BumpSpec, HatBuildParams, build_hat_network, lambda_network
+from requ_gap.hats import BumpSpec, HatBuildParams, build_hat, lambda_network
 
 
 def net_from_dense(*layers):
@@ -118,7 +118,7 @@ class TestComplexityMetrics:
     def test_hat_network_budget(self):
         policy = GrowthPolicy(kind="parametric", depth_cap=5)
         spec = BumpSpec(d=2, M=1.0, y=(0.5, 0.5))
-        net = build_hat_network(HatBuildParams(n=1, L=5, C=1.0, spec=spec, policy=policy))
+        net = build_hat(HatBuildParams(n=1, L=5, C=1.0, spec=spec, policy=policy)).network
         assert net.weight_count() <= 16 * 1 * 2 + 7 * 5  # = 67
 
 
@@ -126,7 +126,7 @@ class TestMembership:
     def test_hat_network_membership(self):
         policy = GrowthPolicy(kind="parametric", depth_cap=5)
         spec = BumpSpec(d=2, M=1.0, y=(0.5, 0.5))
-        net = build_hat_network(HatBuildParams(n=1, L=5, C=1.0, spec=spec, policy=policy))
+        net = build_hat(HatBuildParams(n=1, L=5, C=1.0, spec=spec, policy=policy)).network
         ok, violations = check_membership(net, SigmaBudget(67, policy, input_dim=2))
         assert ok, violations
 
@@ -537,7 +537,7 @@ class TestWireFormat:
         params = HatBuildParams(
             n=3, L=5, C=1.0, spec=BumpSpec(d=1, M=2.0, y=(0.5,)), policy=GrowthPolicy()
         )
-        net = build_hat_network(params)
+        net = build_hat(params).network
         assert net.weight_count() == 72_195
         assert serialize(net) == json_dumps_encoder(net)
 
@@ -750,7 +750,7 @@ class TestStoredAs:
             spec=BumpSpec(d=1, M=2.0, y=(0.5,)),
             policy=GrowthPolicy(scale=256, depth_cap=7),
         )
-        net = build_hat_network(params)
+        net = build_hat(params).network
         path = tmp_path / "hat.json"
         path.write_bytes(serialize(net))
         with open(path, "rb") as stream:
@@ -840,7 +840,6 @@ class TestGrowthPolicy:
         pol = GrowthPolicy(kind="parametric", theta_c=1.0, depth_cap=5)
         assert pol.c(1) == max(1, np.ceil(1 * np.log(2.0)))
         assert pol.c(10) == np.ceil(10 * 1.0) if pol.kappa_c == 0 else pol.c(10)
-        assert pol.ell(3) == 5
 
     def test_c_beyond_the_float_range_is_inf_without_a_warning(self):
         n = np.arange(1, 5)
@@ -860,8 +859,3 @@ class TestGrowthPolicy:
     def test_only_the_parametric_kind(self):
         with pytest.raises(ValueError, match="unknown policy kind"):
             GrowthPolicy(kind="tabulated")
-
-    def test_parametric_sup_values(self):
-        assert GrowthPolicy(kind="parametric", depth_cap=5).c_star == 1
-        assert GrowthPolicy(kind="parametric", theta_c=1.0, depth_cap=5).c_star == float("inf")
-        assert GrowthPolicy(kind="parametric", depth_cap=float("inf")).ell_star == float("inf")

@@ -168,7 +168,7 @@ def _loop_gaps(policy, L, gamma, grid):
 class TestGrowthScan:
     @pytest.mark.parametrize("policy, gamma", SCAN_CASES.values(), ids=SCAN_CASES.keys())
     def test_c0_and_c1_match_loop(self, policy, gamma):
-        L = int(policy.ell_star)
+        L = int(policy.depth_cap)
         grid, c0, c1 = _loop_scan(policy, L, gamma)
         # the certificate also bounds the integers the grid steps over
         c1 = max(c1, _loop_gaps(policy, L, gamma, grid))
@@ -190,7 +190,7 @@ class TestGrowthScan:
 
     @pytest.mark.parametrize("policy, gamma", BEYOND_SCAN.values(), ids=BEYOND_SCAN.keys())
     def test_c1_bounds_the_supremum_past_the_scan(self, policy, gamma):
-        L = int(policy.ell_star)
+        L = int(policy.depth_cap)
         far = _log2_ratio_far(policy, L, gamma)
         _, _, c1_scan = _loop_scan(policy, L, gamma)
         assert c1_scan < far - 50
@@ -219,7 +219,7 @@ class TestGrowthScan:
         n = np.concatenate(
             [np.arange(1, 10**6 + 1.0), np.geomspace(10**6, 10**8, 400_000).round()]
         )
-        e = 2.0**policy.ell_star - 1.0
+        e = 2.0**policy.depth_cap - 1.0
         log2_n = np.log2(n)
         dense = np.max(gamma * log2_n - e * np.log2(policy.c(n)) - e / 2.0 * log2_n)
         _, cert = scaled_unit_ball_bump(1.0, gamma, 4.0, [0.5], policy)
