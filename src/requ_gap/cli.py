@@ -289,7 +289,7 @@ def cmd_build_hat(args) -> int:
     report["config"] = cfg
     # encode checks the weights before --out is opened; the pieces go
     # straight to the file
-    _write(args, report, encode(hat.network) if args.out else None, sidecar=".verify.json")
+    _write(args, report, encode(hat.strided) if args.out else None, sidecar=".verify.json")
     return 0 if report["pass"] else 1
 
 
@@ -299,7 +299,7 @@ def cmd_verify_hat(args) -> int:
     report = verify_hat(hat, num_points=cfg["points"], seed=args.seed or 0)
     if cfg["network"]:
         with open(cfg["network"], "rb") as stream:
-            report["file_matches"] = stored_as(stream, hat.network)
+            report["file_matches"] = stored_as(stream, hat.strided)
     report["config"] = {k: v for k, v in cfg.items() if k != "network"}
     _write(args, report)
     return 0 if report["pass"] and report.get("file_matches", True) else 1

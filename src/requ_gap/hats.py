@@ -29,9 +29,12 @@ from .network import (
     GrowthPolicy,
     Layer,
     NeuralNetwork,
+    Run,
     SigmaBudget,
     SparseMatrix,
     SparseVector,
+    StridedLayer,
+    StridedNetwork,
     check_membership,
 )
 from .rates import _growth_scan
@@ -168,8 +171,9 @@ class HatBuildParams:
     policy: GrowthPolicy
 
     def __post_init__(self):
-        if not math.isfinite(self.C):
-            raise ValueError("amplitude base C must be finite")
+        # C**8 finite; also rejects NaN and inf
+        if not self.C < 2.0**128:
+            raise ValueError("amplitude base C must be < 2**128 (C**8 finite)")
         # the amplitude divides by M**8 and the layers by M**2 and M**4
         if not self.spec.M < 2.0**128:
             raise ValueError("width parameter M must be < 2**128 (M**8 finite)")
@@ -274,10 +278,17 @@ class BuiltHat:
         raise ValueError(f"the network's gain 2**{text} is too large for double precision")
 
     @cached_property
-    def network(self) -> NeuralNetwork:
-        return self._materialize()
+    def strided(self) -> StridedNetwork:
+        """The stored network with its two wide layers as strided runs:
+        build-hat and verify-hat write, compare and budget-check this."""
+        return self._describe()
 
-    def _materialize(self) -> NeuralNetwork:
+    @cached_property
+    def network(self) -> NeuralNetwork:
+        """The stored network, expanded: the arrays serialize writes."""
+        return self.strided.expand()
+
+    def _describe(self) -> StridedNetwork:
         p = self.params
         c = self._constants
         d, n, n8 = c["d"], p.n, c["n8"]
@@ -294,28 +305,27 @@ class BuiltHat:
         a1 = SparseMatrix((2 * n * d, d), r, r // (2 * n), sign)
         b1 = SparseVector.from_dense(-sign * y[r // (2 * n)])
 
-        # layer 2: per coordinate block, n**8 row triples (bump, floor, scale);
-        # the bump rows are 0, 3, 6, ..., the floor and scale rows follow them
-        bump = np.arange(0, 3 * n8 * d, 3)
-        a2 = SparseMatrix(
-            (3 * n8 * d, 2 * n * d),
-            np.repeat(bump, 2),
-            np.tile([0, 1], n8 * d) + np.repeat(2 * n * np.arange(d), 2 * n8),
-            np.full(2 * n8 * d, -1.0),
-        )
-        b2 = SparseVector.from_dense(np.tile([c["b21"], c["b22"], c["b23"]], n8 * d))
+        # layer 2: per coordinate block j, n**8 row triples (bump, floor,
+        # scale) at rows 3 (j n**8 + k) + (0, 1, 2); the bump row reads the
+        # block's first pair, columns 2 n j and 2 n j + 1
+        a2 = [Run([(0, 0), (0, 1)], [-1.0, -1.0], n8, d, (3, 0), (3 * n8, 2 * n))]
+        b2 = [Run([(0,), (1,), (2,)], [c["b21"], c["b22"], c["b23"]], n8, d, (3,), (3 * n8,))]
 
         # layer 3: three shifted copies of the averaged bump sum (+inv on the
-        # bump rows, -inv on the floor rows) + the scale row
-        a3 = SparseMatrix(
-            (4, 3 * n8 * d),
-            np.repeat(np.arange(4), [2 * n8 * d] * 3 + [n8 * d]),
-            np.concatenate([bump, bump + 1] * 3 + [bump + 2]),
-            np.repeat([c["inv"], -c["inv"]] * 3 + [1.0], n8 * d),
-        )
-        b3 = SparseVector.from_dense([0.0, c["b32"], c["b33"], 0.0])
+        # bump rows 0, 3, 6, ..., -inv on the floor rows) + the scale row
+        inv = c["inv"]
+        a3 = [
+            Run([(row, col)], [v], n8 * d, 1, (0, 3), (0, 0))
+            for row, col, v in [(0, 0, inv), (0, 1, -inv), (1, 0, inv), (1, 1, -inv),
+                                (2, 0, inv), (2, 1, -inv), (3, 2, 1.0)]
+        ]
+        b3 = [Run([(1,), (2,)], [c["b32"], c["b33"]], 1, 1, (0,), (0,))]
 
-        layers = [Layer(a1, b1), Layer(a2, b2), Layer(a3, b3)]
+        layers = [
+            Layer(a1, b1),
+            StridedLayer((3 * n8 * d, 2 * n * d), a2, b2),
+            StridedLayer((4, 3 * n8 * d), a3, b3),
+        ]
         if p.L == 5:
             d1 = SparseMatrix.from_dense(
                 [[0.5, -1.0, 0.5, c["h"]], [-0.5, 1.0, -0.5, c["h"]]]
@@ -337,7 +347,7 @@ class BuiltHat:
             layers.append(Layer(kmat, SparseVector(2, [], [])))
         # the last layer is the one depth_extend ends with
         layers.append(_LAMBDA)
-        return NeuralNetwork(tuple(layers))
+        return StridedNetwork(tuple(layers))
 
     def bump_channel(self, x) -> np.ndarray:
         """The stable O(1)-scale channel v(x); realization = gain * v(x)."""
@@ -410,9 +420,10 @@ def verify_hat(hat: BuiltHat, num_points: int = 10_000, seed: int = 0) -> dict:
 
     Relative error is measured against the amplitude (the closed form's sup),
     since both functions vanish identically outside the support cube.  The
-    pass also needs ``hat.network``, materialized once per hat, to lie in
-    the budget class (check_membership at the weight budget) at exactly
-    depth L."""
+    pass also needs the stored network to lie in the budget class
+    (check_membership at the weight budget) at exactly depth L; its weight
+    count, largest weight and depth are read from ``hat.strided``, without
+    expanding the runs."""
     params = hat.params
     spec = params.spec
     rng = np.random.default_rng(seed)
@@ -425,7 +436,7 @@ def verify_hat(hat: BuiltHat, num_points: int = 10_000, seed: int = 0) -> dict:
         worst.append(np.max(np.abs(hat.realize(pts) - hat.closed_form(pts))))
     max_abs = float(np.max(worst))
     max_rel = max_abs / hat.amplitude if hat.amplitude > 0 else math.inf
-    net = hat.network
+    net = hat.strided
     budget = hat.weight_budget()
     member, _ = check_membership(net, SigmaBudget(budget, params.policy, input_dim=spec.d))
     depth = net.depth()

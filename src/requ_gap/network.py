@@ -179,13 +179,177 @@ class Layer:
     def in_dim(self) -> int:
         return self.weights.shape[1]
 
+    @property
+    def nnz(self) -> int:
+        return self.weights.nnz + self.bias.nnz
 
-@dataclass(frozen=True)
-class NeuralNetwork:
-    """Architecture: sequence of affine layers; depth L means L affine maps
-    with L-1 activations between them."""
+    def max_abs(self) -> float:
+        return max(self.weights.max_abs(), self.bias.max_abs())
 
-    layers: tuple[Layer, ...]
+    def values(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stored weight values and bias values."""
+        return self.weights.vals, self.bias.vals
+
+
+@dataclass(frozen=True, eq=False)
+class Run:
+    """Records of a few templates repeated with fixed strides.
+
+    A template is a record's indices (a row of index) and its value.  Copy k
+    of block j of a template adds k * copy_step + j * block_step to its
+    indices, a step per index column; the records are ordered by block, then
+    copy, then template, and copy k of block j is copy number j * copies + k.
+    Templates of value 0.0 or -0.0 are left out, as from_dense stores no
+    zero.  Steps are non-negative and no block starts below the last copy of
+    the block before it (block_step >= (copies - 1) * copy_step), so every
+    index column is non-decreasing along the run."""
+
+    index: np.ndarray
+    vals: np.ndarray
+    copies: int
+    blocks: int
+    copy_step: np.ndarray
+    block_step: np.ndarray
+
+    def __post_init__(self):
+        vals = np.asarray(self.vals, dtype=np.float64).ravel()
+        index = np.asarray(self.index, dtype=np.int64).reshape(vals.size, -1)
+        copy_step = np.asarray(self.copy_step, dtype=np.int64)
+        block_step = np.asarray(self.block_step, dtype=np.int64)
+        if not copy_step.shape == block_step.shape == index.shape[1:]:
+            raise NetworkError("a run needs one copy step and one block step per index column")
+        if min(self.copies, self.blocks) < 0 or (index < 0).any() or (copy_step < 0).any():
+            raise NetworkError("a run's counts, indices and steps must be non-negative")
+        if self.blocks > 1 and (block_step < max(self.copies - 1, 0) * copy_step).any():
+            raise NetworkError("a run's block must start at or after the previous block's end")
+        keep = vals != 0.0
+        for name, value in [("index", index[keep]), ("vals", vals[keep]),
+                            ("copy_step", copy_step), ("block_step", block_step)]:
+            object.__setattr__(self, name, value)
+
+    @property
+    def groups(self) -> int:
+        return self.copies * self.blocks
+
+    @property
+    def size(self) -> int:
+        return self.vals.size * self.groups
+
+    def last(self) -> np.ndarray:
+        """The largest index of each column."""
+        return (self.index.max(axis=0) + max(self.copies - 1, 0) * self.copy_step
+                + max(self.blocks - 1, 0) * self.block_step)
+
+    def offsets(self, start: int, stop: int, copy_step: int, block_step: int) -> np.ndarray:
+        """k * copy_step + j * block_step for copies number start to stop - 1."""
+        j, k = np.divmod(np.arange(start, stop, dtype=np.int64), self.copies)
+        k *= copy_step
+        j *= block_step
+        k += j
+        return k
+
+    def fill(self, out: np.ndarray, base: np.ndarray, copy_step: int, block_step: int) -> None:
+        """Write base[t] plus the offset of its copy into out, a record per
+        entry in stored order, _RECORDS_PER_BLOCK copies at a time."""
+        view = out.reshape(self.groups, base.size)
+        for s in range(0, self.groups, _RECORDS_PER_BLOCK):
+            e = min(s + _RECORDS_PER_BLOCK, self.groups)
+            np.add(self.offsets(s, e, copy_step, block_step)[:, None], base, out=view[s:e])
+
+    def reaching(self, base: int, column: int, bound: int) -> int:
+        """The number of the first copy whose index in column, for a template
+        index base, is at least bound; groups when none is."""
+        cs, bs = int(self.copy_step[column]), int(self.block_step[column])
+        top = base + (self.copies - 1) * cs  # the column's largest index in block 0
+        if top >= bound:
+            j = 0
+        elif bs == 0:
+            return self.groups
+        else:
+            j = -((top - bound) // bs)
+        if j >= self.blocks:
+            return self.groups
+        first = base + j * bs
+        return j * self.copies + (0 if first >= bound else -((first - bound) // cs))
+
+
+def _fill_runs(runs: Sequence[Run], weights: Sequence[int]) -> np.ndarray:
+    """The sum over index columns of index * weights, for every record of
+    runs in stored order: one int64 per record, formed run by run."""
+    weights = np.asarray(weights, dtype=np.int64)
+    out = np.empty(sum(r.size for r in runs), dtype=np.int64)
+    at = 0
+    for r in runs:
+        r.fill(out[at : at + r.size], r.index @ weights, int(r.copy_step @ weights),
+               int(r.block_step @ weights))
+        at += r.size
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class StridedLayer:
+    """A layer whose weights, (row, col) records, and bias, (index,)
+    records, are runs, of which those with no record are dropped: the stored
+    layer is expand().  Ranges and distinct coordinates are checked as
+    SparseMatrix and SparseVector check them, on keys formed run by run."""
+
+    shape: tuple[int, int]
+    entries: tuple[Run, ...]
+    bias: tuple[Run, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(r for r in self.entries if r.size))
+        object.__setattr__(self, "bias", tuple(r for r in self.bias if r.size))
+        rows, cols = map(int, self.shape)
+        if rows * cols >= 2**63:
+            raise NetworkError("a strided layer's keys must fit in int64")
+        for runs, limits, what in [(self.entries, (rows, cols), "coordinate in sparse matrix"),
+                                   (self.bias, (rows,), "index in sparse vector")]:
+            for r in runs:
+                if r.index.shape[1] != len(limits):
+                    raise NetworkError(f"a run of this layer needs {len(limits)} index columns")
+                if (r.last() >= limits).any():
+                    raise NetworkError("index out of range")
+            keys = _fill_runs(runs, (cols, 1)[-len(limits):])
+            keys.sort()
+            if (keys[1:] == keys[:-1]).any():
+                raise NetworkError(f"duplicate {what}")
+
+    @property
+    def out_dim(self) -> int:
+        return self.shape[0]
+
+    @property
+    def in_dim(self) -> int:
+        return self.shape[1]
+
+    @property
+    def nnz(self) -> int:
+        return sum(r.size for r in self.entries + self.bias)
+
+    def max_abs(self) -> float:
+        return max((float(np.abs(r.vals).max()) for r in self.entries + self.bias), default=0.0)
+
+    def values(self) -> tuple[np.ndarray, np.ndarray]:
+        """The values of the weight templates and of the bias templates."""
+        return tuple(np.concatenate([np.empty(0)] + [r.vals for r in runs])
+                     for runs in (self.entries, self.bias))
+
+    def expand(self) -> Layer:
+        """The Layer of every record, in stored order."""
+
+        def vals(runs):
+            return np.concatenate([np.empty(0)] + [np.tile(r.vals, r.groups) for r in runs])
+
+        e, b = self.entries, self.bias
+        return Layer(
+            SparseMatrix(self.shape, _fill_runs(e, (1, 0)), _fill_runs(e, (0, 1)), vals(e)),
+            SparseVector(self.shape[0], _fill_runs(b, (1,)), vals(b)),
+        )
+
+
+class _LayerChain:
+    """The dimension chain and budget figures of a sequence of layers."""
 
     def __post_init__(self):
         if not self.layers:
@@ -197,14 +361,6 @@ class NeuralNetwork:
                     f"{self.layers[k].in_dim} != {self.layers[k - 1].out_dim}"
                 )
         object.__setattr__(self, "layers", tuple(self.layers))
-
-    @classmethod
-    def from_dense(cls, mats_and_biases) -> "NeuralNetwork":
-        layers = [
-            Layer(SparseMatrix.from_dense(a), SparseVector.from_dense(b))
-            for a, b in mats_and_biases
-        ]
-        return cls(tuple(layers))
 
     @property
     def input_dim(self) -> int:
@@ -218,10 +374,41 @@ class NeuralNetwork:
         return len(self.layers)
 
     def weight_count(self) -> int:
-        return sum(l.weights.nnz + l.bias.nnz for l in self.layers)
+        return sum(l.nnz for l in self.layers)
 
     def max_norm(self) -> float:
-        return max(max(l.weights.max_abs(), l.bias.max_abs()) for l in self.layers)
+        return max(l.max_abs() for l in self.layers)
+
+
+@dataclass(frozen=True)
+class NeuralNetwork(_LayerChain):
+    """Architecture: sequence of affine layers; depth L means L affine maps
+    with L-1 activations between them."""
+
+    layers: tuple[Layer, ...]
+
+    @classmethod
+    def from_dense(cls, mats_and_biases) -> "NeuralNetwork":
+        layers = [
+            Layer(SparseMatrix.from_dense(a), SparseVector.from_dense(b))
+            for a, b in mats_and_biases
+        ]
+        return cls(tuple(layers))
+
+
+@dataclass(frozen=True, eq=False)
+class StridedNetwork(_LayerChain):
+    """A network some of whose layers are StridedLayers.  Its budget figures
+    and its encoding are read from the runs; expand() gives the
+    NeuralNetwork it stores, which evaluation and the structural operations
+    take."""
+
+    layers: tuple[Layer | StridedLayer, ...]
+
+    def expand(self) -> NeuralNetwork:
+        return NeuralNetwork(tuple(
+            l.expand() if isinstance(l, StridedLayer) else l for l in self.layers
+        ))
 
 
 def realize(net: NeuralNetwork, x) -> np.ndarray:
@@ -342,7 +529,7 @@ class SigmaBudget:
             raise ValueError("budget n must be >= 1")
 
 
-def check_membership(net: NeuralNetwork, budget: SigmaBudget):
+def check_membership(net: NeuralNetwork | StridedNetwork, budget: SigmaBudget):
     """Check the budget constraints; returns (ok, list-of-violation strings).
 
     Infinite depth or norm limits are vacuously satisfied."""
@@ -503,16 +690,26 @@ def eliminate_dead_layers(net: NeuralNetwork) -> NeuralNetwork:
 _RECORDS_PER_BLOCK = 1 << 15
 
 
+def _digit_plane(q: np.ndarray, w: int) -> np.ndarray:
+    """The (w, q.size) uint8 plane of the ASCII digits of q, non-negative
+    integers below 10**w, each zero-padded to w digits: repeated divisions by
+    10, in uint32 when w is at most 9."""
+    digits, rest = np.empty((w, q.size), np.uint8), q.astype(np.uint32 if w <= 9 else np.int64)
+    for k in range(w - 1, -1, -1):
+        rest, digits[k] = np.divmod(rest, 10)
+    digits += 48
+    return digits
+
+
 def _records(columns: Sequence[np.ndarray], vals: np.ndarray) -> Iterator[bytes]:
     """Yield, a block of _RECORDS_PER_BLOCK records at a time, the bytes
     json.dumps writes for the list of records zip(*columns, vals):
     non-negative integer columns, finite float values.
 
     A block is a NUL-padded uint8 matrix, a record per row, laid out as '['
-    fields joined by ', ' ']'.  An index column's digits are a (width,
-    records) plane of repeated divisions by 10, in uint32 when the column's
-    widest index in the block has at most 9 digits, leading zeros NUL, written
-    with one transposed assignment.  A value's text is repr of its float
+    fields joined by ', ' ']'.  An index column's digits are a _digit_plane
+    as wide as the column's widest index in the block, leading zeros NUL,
+    written with one transposed assignment.  A value's text is repr of its float
     (what json.dumps writes), from an S array with an entry per distinct bit
     pattern, so 0.0 and -0.0 keep their own text; the patterns are sorted and
     kept where they differ from their neighbour, and a block finds its texts
@@ -531,13 +728,9 @@ def _records(columns: Sequence[np.ndarray], vals: np.ndarray) -> Iterator[bytes]
         block = np.tile(np.frombuffer(layout, np.uint8), (len(ints[0]), 1))
         start = 1
         for q, w in zip(ints, widths):
-            q = q.astype(np.uint32 if w <= 9 else np.int64)
-            digits, rest = np.empty((w, q.size), np.uint8), q
-            for k in range(w - 1, -1, -1):
-                rest, digits[k] = np.divmod(rest, 10)
-            digits += 48
+            digits = _digit_plane(q, w)
             # a digit above the number's own is a leading zero
-            digits[:-1] *= q >= 10 ** np.arange(w - 1, 0, -1, dtype=q.dtype)[:, None]
+            digits[:-1] *= q >= 10 ** np.arange(w - 1, 0, -1, dtype=np.int64)[:, None]
             block[:, start : start + w] = digits.T
             start += w + 2
         found = np.searchsorted(bits, vals[s : s + _RECORDS_PER_BLOCK].view(np.int64))
@@ -549,33 +742,92 @@ def _records(columns: Sequence[np.ndarray], vals: np.ndarray) -> Iterator[bytes]
     yield b"]"
 
 
-def encode(net: NeuralNetwork) -> Iterator[bytes]:
+def _segment(run: Run, start: int, stop: int) -> np.ndarray:
+    """The records of copies number start to stop - 1 of run, each followed
+    by ', ', as a (copies, bytes) uint8 matrix; every index of a template
+    column has the same number of digits in these copies.
+
+    The row layout holds the text of each value and of each index that is
+    the same in every row; each other index is a _digit_plane."""
+    layout, planes = [], []
+    offsets = [run.offsets(start, stop, int(cs), int(bs))
+               for cs, bs in zip(run.copy_step, run.block_step)]
+    at = 0
+    for t, v in enumerate(run.vals.tolist()):
+        fields = []
+        for c, off in enumerate(offsets):
+            base = int(run.index[t, c])
+            text = str(base + int(off[0])).encode()
+            if off[-1] != off[0]:
+                planes.append((at + 1 + sum(map(len, fields)) + 2 * c, base + off, len(text)))
+            fields.append(text)
+        record = b"[" + b", ".join(fields + [repr(v).encode()]) + b"], "
+        layout.append(record)
+        at += len(record)
+    block = np.tile(np.frombuffer(b"".join(layout), np.uint8), (stop - start, 1))
+    for pos, q, w in planes:
+        block[:, pos : pos + w] = _digit_plane(q, w).T
+    return block
+
+
+def _run_records(runs: Sequence[Run]) -> Iterator[bytes]:
+    """Yield the bytes json.dumps writes for the list of the records of runs,
+    in turn, a _segment at a time; no run may be empty.
+
+    A segment ends where an index of a template column reaches a power of
+    ten (Run.reaching), and holds at most _RECORDS_PER_BLOCK records."""
+    if not runs:
+        yield b"[]"
+        return
+    yield b"["
+    for r in runs:
+        per = max(1, _RECORDS_PER_BLOCK // r.vals.size)
+        powers = [10**e for e in range(1, len(str(r.last().max())))]
+        ends = {r.reaching(base, c, p)
+                for row in r.index.tolist() for c, base in enumerate(row) for p in powers}
+        ends.update(range(per, r.groups, per), [r.groups])
+        start = 0
+        for stop in sorted(e for e in ends if e > 0):
+            flat = _segment(r, start, stop).reshape(-1)
+            last = r is runs[-1] and stop == r.groups
+            # the last record's ', '
+            yield (flat[:-2] if last else flat).tobytes()
+            start = stop
+    yield b"]"
+
+
+def encode(net: NeuralNetwork | StridedNetwork) -> Iterator[bytes]:
     """The bytes of serialize(net) as a generator of pieces, most of them
-    blocks of _RECORDS_PER_BLOCK records, so that a caller can write or
-    compare the encoding without holding all of it.
+    blocks of at most _RECORDS_PER_BLOCK records, so that a caller can write
+    or compare the encoding without holding all of it.  A StridedLayer is
+    written from its runs, without expanding it.
 
     Every layer is checked first: a NaN or infinite weight or bias raises
     NetworkError here, before any piece is produced."""
     for k, layer in enumerate(net.layers):
-        if not (np.isfinite(layer.weights.vals).all() and np.isfinite(layer.bias.vals).all()):
+        if not all(np.isfinite(v).all() for v in layer.values()):
             raise NetworkError(f"layer {k + 1}: a weight or bias is not finite")
     return _pieces(net)
 
 
-def _pieces(net: NeuralNetwork) -> Iterator[bytes]:
+def _pieces(net: NeuralNetwork | StridedNetwork) -> Iterator[bytes]:
     yield f'{{"input_dim": {net.input_dim}, "layers": ['.encode()
     for k, layer in enumerate(net.layers):
-        w, b = layer.weights, layer.bias
+        if isinstance(layer, StridedLayer):
+            entries, bias = _run_records(layer.entries), _run_records(layer.bias)
+        else:
+            w, b = layer.weights, layer.bias
+            entries, bias = _records((w.rows, w.cols), w.vals), _records((b.idx,), b.vals)
         sep = ", " if k else ""
         yield f'{sep}{{"rows": {layer.out_dim}, "cols": {layer.in_dim}, "entries": '.encode()
-        yield from _records((w.rows, w.cols), w.vals)
+        yield from entries
         yield b', "bias": '
-        yield from _records((b.idx,), b.vals)
+        yield from bias
         yield b"}"
     yield b"]}"
 
 
-def serialize(net: NeuralNetwork) -> bytes:
+def serialize(net: NeuralNetwork | StridedNetwork) -> bytes:
     """Encode as UTF-8 JSON with full double round-trip precision: the
     pieces of encode(net), joined.
 
@@ -700,10 +952,10 @@ def identical(a: NeuralNetwork, b: NeuralNetwork) -> bool:
     )
 
 
-def stored_as(stream: BinaryIO, net: NeuralNetwork) -> bool:
+def stored_as(stream: BinaryIO, net: NeuralNetwork | StridedNetwork) -> bool:
     """True when stream, a binary reader of a serialized network, holds a
-    network identical to net (see identical); malformed data raises
-    ParseError.
+    network identical to net, or to the expansion of a StridedNetwork (see
+    identical); malformed data raises ParseError.
 
     When every weight of net is finite and nonzero, reading the bytes
     serialize writes for net gives net back, so a stream equal to them is
@@ -712,13 +964,11 @@ def stored_as(stream: BinaryIO, net: NeuralNetwork) -> bool:
     is held whole.  At the first difference the stream is parsed: the
     matched pieces are encoded again and the differing bytes and the rest of
     the stream follow, so the stream is read once, without a seek, and may
-    be a pipe.  Any stream is parsed when net stores a zero weight, which
-    reading drops."""
+    be a pipe; only then is a StridedNetwork expanded.  Any stream is parsed
+    when net stores a zero weight, which reading drops."""
     exact = all(
-        np.isfinite(layer.weights.vals).all()
-        and np.isfinite(layer.bias.vals).all()
-        and (layer.weights.vals != 0.0).all()
-        for layer in net.layers
+        np.isfinite(weights).all() and np.isfinite(bias).all() and (weights != 0.0).all()
+        for weights, bias in (layer.values() for layer in net.layers)
     )
     matched, chunk = 0, b""
     if exact:
@@ -732,4 +982,5 @@ def stored_as(stream: BinaryIO, net: NeuralNetwork) -> bool:
             if not chunk:
                 return True
     prefix = b"".join(islice(encode(net), matched)) if matched else b""
-    return identical(deserialize(prefix + chunk + stream.read()), net)
+    parsed = deserialize(prefix + chunk + stream.read())
+    return identical(parsed, net.expand() if isinstance(net, StridedNetwork) else net)

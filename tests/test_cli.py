@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -69,6 +70,11 @@ class TestBuildHat:
             ["--n", "1", "--L", "9", "--d", "4", "--depth-cap", "9"],
             "997d5b3fbe4c8176930ed4c466664cad9fb460d921a56ee344a3ac54b2bb1fb6",
         ),
+        # the benchmark's hat.json: 720,938 weights, indices of six digits
+        "n4-L7-d1": (
+            ["--n", "4", "--L", "7", "--d", "1", "--depth-cap", "7"],
+            "9dc23a76246d10f485f93ddb3fff832df390592fe2e5a3e798dfc3bfc8e04313",
+        ),
     }
 
     @pytest.mark.parametrize("case", PINNED)
@@ -78,17 +84,40 @@ class TestBuildHat:
         assert run(["build-hat", "--M", "2", "--scale", "256", *argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_build_hat_holds_less_than_half_the_expanded_hat(self, tmp_path):
+        # the n=3, L=7 hat has 72,209 weights; a few verification points,
+        # set in the config, keep the peak the hat's own
+        argv = ["build-hat", "--n", "3", "--L", "7", "--M", "2", "--scale", "256",
+                "--depth-cap", "7", "--config", str(tmp_path / "config.json")]
+        (tmp_path / "config.json").write_text('{"points": 100}')
+        assert run(argv + ["--out", str(tmp_path / "warm.json")]) == 0
+        tracemalloc.start()
+        try:
+            assert run(argv + ["--out", str(tmp_path / "hat.json")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        net = deserialize((tmp_path / "hat.json").read_bytes())
+        arrays = sum(
+            a.nbytes
+            for layer in net.layers
+            for a in (layer.weights.rows, layer.weights.cols, layer.weights.vals,
+                      layer.bias.idx, layer.bias.vals)
+        )
+        assert net.weight_count() == 72_209
+        assert peak < arrays / 2
+
     def test_non_finite_weight_leaves_no_file(self, tmp_path, monkeypatch, capsys):
-        materialize = BuiltHat._materialize
+        describe = BuiltHat._describe
 
         def with_inf(hat):
-            net = materialize(hat)
+            net = describe(hat)
             last = net.layers[-1]
             w = last.weights
             inf = network.SparseMatrix(w.shape, w.rows, w.cols, np.full(w.nnz, np.inf))
-            return network.NeuralNetwork(net.layers[:-1] + (network.Layer(inf, last.bias),))
+            return network.StridedNetwork(net.layers[:-1] + (network.Layer(inf, last.bias),))
 
-        monkeypatch.setattr(BuiltHat, "_materialize", with_inf)
+        monkeypatch.setattr(BuiltHat, "_describe", with_inf)
         # a finite report, so that only the network stops the write
         monkeypatch.setattr(cli, "verify_hat", lambda hat, **kwargs: {"pass": True})
         out = tmp_path / "hat.json"
@@ -278,20 +307,27 @@ class TestVerifyHat:
         assert run(["verify-hat", "--M", "2", "--network", str(out)]) == 0
         assert calls == {"encode": 1, "deserialize": 0}
 
-    def test_each_command_materializes_the_hat_once(self, tmp_path, monkeypatch):
+    def test_only_a_differing_file_expands_the_hat(self, tmp_path, monkeypatch):
         calls = []
-        materialize = BuiltHat._materialize
+        expand = network.StridedNetwork.expand
 
-        def counting(hat):
-            calls.append(hat.params)
-            return materialize(hat)
+        def counting(net):
+            calls.append(net)
+            return expand(net)
 
-        monkeypatch.setattr(BuiltHat, "_materialize", counting)
+        monkeypatch.setattr(network.StridedNetwork, "expand", counting)
         out = tmp_path / "hat.json"
-        assert run(["build-hat", "--M", "2", "--out", str(out)]) == 0
+        argv = ["--M", "2", "--n", "2", "--L", "6", "--depth-cap", "6"]
+        assert run(["build-hat", *argv, "--out", str(out)]) == 0
+        assert len(calls) == 0
+        assert run(["verify-hat", *argv, "--network", str(out)]) == 0
+        assert len(calls) == 0
+        doc = json.loads(out.read_text())
+        entry = doc["layers"][2]["entries"][-1]
+        entry[2] = float(np.nextafter(entry[2], np.inf))
+        out.write_text(json.dumps(doc))
+        assert run(["verify-hat", *argv, "--network", str(out)]) == 1
         assert len(calls) == 1
-        assert run(["verify-hat", "--M", "2", "--network", str(out)]) == 0
-        assert len(calls) == 2
 
 
 class TestRates:

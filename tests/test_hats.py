@@ -369,6 +369,12 @@ class TestBuildHat:
         with pytest.raises(ValueError, match=message):
             hat_params(**kwargs)
 
+    # 1e300**8 overflows a float: it raised OverflowError, not ValueError
+    @pytest.mark.parametrize("C", [1e300, 2.0**128, math.inf, math.nan])
+    def test_C_whose_eighth_power_is_not_finite_is_rejected(self, C):
+        with pytest.raises(ValueError, match=r"C must be < 2\*\*128"):
+            hat_params(C=C)
+
     def test_gain_past_double_precision_raises(self):
         # the hat of `lipschitz --L 10 --depth-cap 10 --scale 256`: C = 2
         pol = GrowthPolicy(scale=256.0, depth_cap=10)

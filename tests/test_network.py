@@ -18,9 +18,12 @@ from requ_gap.network import (
     NeuralNetwork,
     NetworkError,
     ParseError,
+    Run,
     SigmaBudget,
     SparseMatrix,
     SparseVector,
+    StridedLayer,
+    StridedNetwork,
     check_membership,
     depth_extend,
     deserialize,
@@ -33,7 +36,13 @@ from requ_gap.network import (
     stored_as,
     sum_networks,
 )
-from requ_gap.hats import BumpSpec, HatBuildParams, build_hat, lambda_network
+from requ_gap.hats import (
+    BumpSpec,
+    HatBuildParams,
+    build_hat,
+    choose_amplitude_base,
+    lambda_network,
+)
 
 
 def net_from_dense(*layers):
@@ -763,6 +772,122 @@ class TestStoredAs:
         # net was made before tracing began, so peak is what stored_as
         # allocated
         assert peak < path.stat().st_size / 2
+
+
+def run_records(run: Run) -> list[tuple]:
+    """The records of run, from plain loops over its blocks, copies and
+    templates: the oracle for Run."""
+    return [
+        (*(int(i) + k * int(cs) + j * int(bs)
+           for i, cs, bs in zip(index, run.copy_step, run.block_step)), float(v))
+        for j in range(run.blocks)
+        for k in range(run.copies)
+        for index, v in zip(run.index, run.vals)
+    ]
+
+
+@st.composite
+def runs(draw, columns: int):
+    """A run with up to three templates of `columns` indices, some near a
+    power of ten, and wire values (zeros among them)."""
+    count = draw(st.integers(1, 3))
+    near = st.sampled_from([0, 1, 8, 9, 10, 97, 99, 100, 998, 999, 1000, 9999])
+    index = draw(st.lists(st.lists(st.one_of(near, st.integers(0, 120)),
+                                   min_size=columns, max_size=columns),
+                          min_size=count, max_size=count))
+    vals = draw(st.lists(st.sampled_from(WIRE_VALUES), min_size=count, max_size=count))
+    copies, blocks = draw(st.integers(0, 40)), draw(st.integers(0, 6))
+    copy_step = draw(st.lists(st.integers(0, 40), min_size=columns, max_size=columns))
+    block_step = [max(copies - 1, 0) * cs + draw(st.integers(0, 60)) for cs in copy_step]
+    return Run(index, vals, copies, blocks, copy_step, block_step)
+
+
+class TestStridedRuns:
+    @given(entries=runs(2), bias=runs(1), spare=st.integers(0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_its_records(self, entries, bias, spare):
+        records = run_records(entries)
+        idx = run_records(bias)
+        rows = 1 + spare + max([i for i, _, _ in records] + [i for i, _ in idx], default=0)
+        cols = 1 + spare + max([j for _, j, _ in records], default=0)
+        try:
+            want = Layer(
+                SparseMatrix((rows, cols), *np.array(records, ndmin=2).reshape(-1, 3).T),
+                SparseVector(rows, *np.array(idx, ndmin=2).reshape(-1, 2).T),
+            )
+        except NetworkError:
+            with pytest.raises(NetworkError, match="duplicate"):
+                StridedLayer((rows, cols), [entries], [bias])
+            return
+        net = StridedNetwork((StridedLayer((rows, cols), [entries], [bias]),))
+        expected = NeuralNetwork((want,))
+        assert identical(net.expand(), expected)
+        assert serialize(net) == json_dumps_encoder(expected)
+        assert net.weight_count() == expected.weight_count()
+        assert net.max_norm() == expected.max_norm()
+        assert stored_as(io.BytesIO(serialize(expected)), net)
+
+    def test_zero_templates_are_left_out(self):
+        run = Run([(0,), (1,), (2,)], [1.0, 0.0, -0.0], 4, 1, (3,), (0,))
+        assert run.size == 4
+        assert run_records(run) == [(3 * k, 1.0) for k in range(4)]
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(copy_step=(-1, 0)), "non-negative"),
+        (dict(block_step=(5, 1)), "previous block"),
+        (dict(copy_step=(1,)), "one copy step"),
+    ])
+    def test_bad_steps_are_rejected(self, kwargs, message):
+        args = dict(index=[(0, 0)], vals=[1.0], copies=3, blocks=2,
+                    copy_step=(3, 0), block_step=(9, 1))
+        with pytest.raises(NetworkError, match=message):
+            Run(**{**args, **kwargs})
+
+    def test_layer_checks_ranges_and_coordinates(self):
+        run = Run([(0, 0), (0, 1)], [1.0, 2.0], 3, 2, (3, 0), (9, 2))
+        StridedLayer((16, 4), [run], [])
+        with pytest.raises(NetworkError, match="out of range"):
+            StridedLayer((15, 4), [run], [])
+        with pytest.raises(NetworkError, match="duplicate coordinate"):
+            StridedLayer((16, 4), [run, Run([(12, 3)], [1.0], 1, 1, (0, 0), (0, 0))], [])
+        with pytest.raises(NetworkError, match="duplicate index"):
+            StridedLayer((16, 4), [run], [Run([(1,)], [1.0], 2, 1, (0,), (0,))])
+
+    def test_segments_hold_at_most_a_block_of_records(self):
+        count = network._RECORDS_PER_BLOCK + 7
+        run = Run([(0, 0), (0, 1)], [0.5, -1.0], count, 1, (1, 0), (0, 0))
+        net = StridedNetwork((StridedLayer((count, 2), [run], []),))
+        pieces = list(network.encode(net))
+        assert b"".join(pieces) == json_dumps_encoder(net.expand())
+        assert max(piece.count(b"[") for piece in pieces) <= network._RECORDS_PER_BLOCK
+
+    # (d, n, L) covers every pair of d, n and L in {1, 2, 3}, {1, 2, 3} and
+    # {5, 6, 8} once; C is chosen or given, y may hold a 0 or a 1, whose
+    # layer-1 bias entries drop
+    HATS = [
+        (1, 1, 5, None, (0.5,)),
+        (1, 2, 6, 1.5, (0.0,)),
+        (1, 3, 8, None, (1.0,)),
+        (2, 1, 6, None, (0.0, 1.0)),
+        (2, 2, 8, 1.25, (0.5, 0.25)),
+        (2, 3, 5, None, (0.5, 0.5)),
+        (3, 1, 8, 2.0, (1.0, 0.5, 0.0)),
+        (3, 2, 5, None, (0.5, 0.5, 0.5)),
+        (3, 3, 6, None, (0.25, 0.0, 0.75)),
+        (2000, 1, 5, None, None),
+    ]
+
+    @pytest.mark.parametrize("d, n, L, C, y", HATS)
+    def test_hat_pieces_equal_serialize_and_json_dumps(self, d, n, L, C, y):
+        policy = GrowthPolicy(scale=256, depth_cap=8)
+        if C is None:
+            C = choose_amplitude_base(policy, n, d, L)
+        y = (0.5,) * d if y is None else y
+        hat = build_hat(HatBuildParams(n=n, L=L, C=C, spec=BumpSpec(d=d, M=2.0, y=y), policy=policy))
+        data = b"".join(network.encode(hat.strided))
+        assert data == serialize(hat.network) == json_dumps_encoder(hat.network)
+        assert hat.strided.weight_count() == hat.network.weight_count()
+        assert hat.strided.max_norm() == hat.network.max_norm()
 
 
 def matmul_loop(m: SparseMatrix, pts: np.ndarray) -> np.ndarray:
