@@ -48,8 +48,8 @@ LAMBDA2_LIP_FACTOR = 8.0 / (3.0 * math.sqrt(3.0))
 
 _MAX_MIDDLE_ROWS = 4_000_000
 
-# points verify_hat draws and evaluates at a time
-_POINTS_PER_CHUNK = 1 << 14
+# coordinates verify_hat draws and evaluates at a time, in whole points
+_COORDS_PER_CHUNK = 1 << 14
 
 # bits of the exact gain, at most; forming 2**24 takes about a second, and
 # each step of L doubles the bits
@@ -110,10 +110,7 @@ def theta_step(x):
 
 
 def _delta(spec: BumpSpec, pts: np.ndarray) -> np.ndarray:
-    lam = np.empty_like(pts)
-    for j in range(spec.d):
-        lam[:, j] = _lambda_1d(spec.M, spec.y[j], 2, pts[:, j])
-    return lam.sum(axis=1) - (spec.d - 1)
+    return _lambda_1d(spec.M, np.asarray(spec.y), 2, pts).sum(axis=1) - (spec.d - 1)
 
 
 def vartheta(spec: BumpSpec, x):
@@ -416,7 +413,7 @@ def choose_amplitude_base(policy: GrowthPolicy, n: int, d: int, L: int) -> float
 
 def verify_hat(hat: BuiltHat, num_points: int = 10_000, seed: int = 0) -> dict:
     """Compare the built network against its closed form on random points,
-    num_points of them drawn in chunks of _POINTS_PER_CHUNK.
+    num_points of them drawn in chunks of max(1, _COORDS_PER_CHUNK // d).
 
     Relative error is measured against the amplitude (the closed form's sup),
     since both functions vanish identically outside the support cube.  The
@@ -430,8 +427,9 @@ def verify_hat(hat: BuiltHat, num_points: int = 10_000, seed: int = 0) -> dict:
     half = 1.5 / spec.M
     # the draws continue one stream, so the points are those of one draw
     worst = []
-    for start in range(0, num_points, _POINTS_PER_CHUNK):
-        size = min(_POINTS_PER_CHUNK, num_points - start)
+    step = max(1, _COORDS_PER_CHUNK // spec.d)
+    for start in range(0, num_points, step):
+        size = min(step, num_points - start)
         pts = np.asarray(spec.y) + rng.uniform(-half, half, size=(size, spec.d))
         worst.append(np.max(np.abs(hat.realize(pts) - hat.closed_form(pts))))
     max_abs = float(np.max(worst))

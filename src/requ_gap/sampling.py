@@ -166,8 +166,8 @@ class _NearestSample:
     """Nearest-sample stencil: the sample at the least squared Euclidean
     distance, added up axis by axis from axis 0, the lowest index winning a
     tie.  A brute-force search, at most ``_CHUNK_ENTRIES`` distances at a
-    time; it is the oracle for the cell-block search that
-    ``_average_error_stencil`` runs in its place."""
+    time; it is the oracle for the cell-block search
+    (``_nearest_in_seen_cells``) that ``average_error`` runs in its place."""
 
     def __init__(self, points: np.ndarray):
         self.points = points
@@ -286,11 +286,14 @@ def build_adversarial_family(
     """Construct the hardness family for sample budget m.
 
     Its (2*ceil(m**(1/d)))**d centers are limited to _MAX_OFFSETS (2**20); a
-    larger family raises ValueError before anything is allocated."""
+    larger family raises ValueError before anything is allocated.  A
+    ``kappa1_override`` must be positive, as the amplitude it sets."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if d < 1:
         raise ValueError("d must be >= 1")
+    if kappa1_override is not None and not kappa1_override > 0:
+        raise ValueError("kappa1_override must be > 0")
     # two centers per axis at least: a d of 21 or more is rejected before
     # the integer root raises anything to the power d
     too_many = d >= _MAX_OFFSETS.bit_length()
@@ -415,30 +418,50 @@ def average_error(
     no sample reconstructs to exactly 0, so its error is
     ``amplitude * |theta(offset)|`` in closed form, and only the seen cells
     are evaluated, in chunks of whole cells of at most ``_CHUNK_ENTRIES``
-    test points.  A nearest-sample stencil is not called there: a cell's
-    candidates pass a bisector test against its own sample, and their
-    distances are per-axis terms added in the stencil's order, so every
-    index and error bit is the stencil's (``_nearest_in_seen_cells``).  The
-    stencil and generic paths agree to rounding, not bit for bit: one takes
+    test points.  A nearest-sample stencil is not called there: this is the
+    one-draw case of ``_average_error_nearest``, whose cell search finds
+    every index the stencil would and reads each test point's value off its
+    winning candidate, so every error bit is the stencil's.  The stencil and
+    generic paths agree to rounding, not bit for bit: one takes
     ``amplitude * |theta - v|``, the other ``|amplitude*theta - amplitude*v|``.
     The unseen count comes with the error; the test grid and the profile on
     it are built once per family (``_support``)."""
-    if algorithm.d != family.d:
+    return _average_errors(family, [algorithm], grid_resolution, method)[0]
+
+
+def _average_errors(family, algorithms, grid_resolution, method="stencil"):
+    """``average_error`` of each algorithm, in order.  On the stencil path
+    the nearest-sample algorithms are evaluated together
+    (``_average_error_nearest``); the others one at a time."""
+    if any(algorithm.d != family.d for algorithm in algorithms):
         raise ValueError("algorithm and family dimensions differ")
     if method not in ("stencil", "generic"):
         raise ValueError(f"method must be 'stencil' or 'generic', not {method!r}")
     offsets, theta_off = _support(family, grid_resolution)
-    if method == "stencil":
-        row_max, center, unseen = _average_error_stencil(family, algorithm, offsets, theta_off)
-    else:
-        row_max, center = _average_error_generic(family, algorithm, offsets, theta_off)
-        unseen = count_unseen(family, algorithm)
-    return AverageErrorResult(
-        average=float(row_max.mean()),
-        center_only=float(center.mean()),
-        per_member_max=float(row_max.max()),
-        unseen=unseen,
-    )
+    nearest = [
+        method == "stencil" and isinstance(algorithm.linear_stencil, _NearestSample)
+        for algorithm in algorithms
+    ]
+    together = [algorithm for algorithm, n in zip(algorithms, nearest) if n]
+    pooled = iter(_average_error_nearest(family, together, offsets, theta_off) if together else ())
+    results = []
+    for algorithm, n in zip(algorithms, nearest):
+        if n:
+            row_max, center, unseen = next(pooled)
+        elif method == "stencil":
+            row_max, center, unseen = _average_error_stencil(family, algorithm, offsets, theta_off)
+        else:
+            row_max, center = _average_error_generic(family, algorithm, offsets, theta_off)
+            unseen = count_unseen(family, algorithm)
+        results.append(
+            AverageErrorResult(
+                average=float(row_max.mean()),
+                center_only=float(center.mean()),
+                per_member_max=float(row_max.max()),
+                unseen=unseen,
+            )
+        )
+    return results
 
 
 def _average_error_stencil(family, algorithm, offsets, theta_off):
@@ -447,20 +470,15 @@ def _average_error_stencil(family, algorithm, offsets, theta_off):
     center, and the number of cells without a sample.  The nu = +-1 errors
     coincide, as the reconstruction scales with the data.  Samples outside a
     member's cell are masked out, so a cell without one reconstructs to 0.
-    Chunks of whole seen cells (memory O(K + chunk)) come from the stencil,
-    or from ``_nearest_in_seen_cells`` for a nearest-sample stencil."""
+    Chunks of whole seen cells (memory O(K + chunk)) come from the stencil
+    (``_stencil_in_seen_cells``)."""
     ci, tv = _locate_samples(family, algorithm.points)
     K, G = family.num_centers, len(offsets)
     unseen_err = family.amplitude * np.abs(theta_off)
     row_max = np.full(K, unseen_err.max())
     center = np.full(K, unseen_err[0])
     seen = np.flatnonzero(np.bincount(ci[ci >= 0], minlength=K))
-    stencil = algorithm.linear_stencil
-    if isinstance(stencil, _NearestSample):
-        chunks = _nearest_in_seen_cells(family, stencil, ci, seen, offsets)
-    else:
-        chunks = _stencil_in_seen_cells(family, stencil, seen, offsets)
-    for cells, idx, w in chunks:
+    for cells, idx, w in _stencil_in_seen_cells(family, algorithm.linear_stencil, seen, offsets):
         idx = idx.reshape(len(cells), G, -1)
         mask = ci[idx] == cells[:, None, None]
         recon = (w.reshape(idx.shape) * tv[idx] * mask).sum(axis=2)
@@ -468,6 +486,44 @@ def _average_error_stencil(family, algorithm, offsets, theta_off):
         row_max[cells] = err.max(axis=1)
         center[cells] = err[:, 0]
     return row_max, center, K - len(seen)
+
+
+def _average_error_nearest(family, algorithms, offsets, theta_off):
+    """``_average_error_stencil`` of each nearest-sample algorithm, bit for
+    bit, from one cell search over all their samples, stacked in order.
+    Cell c of draw g is cell g*K + c, so the draws' cells never meet; each
+    draw's (row maxima, center errors, unseen count) is its K-slice of the
+    stacked arrays.  A candidate reconstructs its cell to its bump value
+    when it lies in the cell and to 0 otherwise, and every test point takes
+    the value of its winning candidate.  A cell whose only candidate is its
+    own sample takes the sample's value v at every test point: as
+    fl(theta - v) is monotone in theta and the amplitude is positive, its
+    row maximum is the error at the least or the greatest theta."""
+    K, amp = family.num_centers, family.amplitude
+    counts = [algorithm.m for algorithm in algorithms]
+    points = np.concatenate([algorithm.points for algorithm in algorithms])
+    ci, tv = _locate_samples(family, points)
+    ci = np.where(ci >= 0, ci + K * np.repeat(np.arange(len(counts)), counts), -1)
+    seen = np.flatnonzero(np.bincount(ci[ci >= 0], minlength=len(counts) * K))
+    unseen_err = amp * np.abs(theta_off)
+    row_max = np.full(len(counts) * K, unseen_err.max())
+    center = np.full(len(counts) * K, unseen_err[0])
+    extremes = theta_off.min(), theta_off.max()
+    coords = np.ascontiguousarray(points.T)
+    starts = np.cumsum([0, *counts])
+    for cells, cand, win in _nearest_in_seen_cells(family, coords, starts, ci, seen, offsets):
+        value = np.where(ci[cand] == cells[:, None], tv[cand], 0.0)
+        wide, narrow, v = cells[: len(win)], cells[len(win) :], value[len(win) :, 0]
+        err = amp * np.abs(theta_off - np.take_along_axis(value[: len(win)], win, 1))
+        row_max[wide] = err.max(axis=1)
+        center[wide] = err[:, 0]
+        row_max[narrow] = np.maximum(*(amp * np.abs(t - v) for t in extremes))
+        center[narrow] = amp * np.abs(theta_off[0] - v)
+    unseen = K - np.bincount(seen // K, minlength=len(counts))
+    return [
+        (row_max[g * K : (g + 1) * K], center[g * K : (g + 1) * K], int(unseen[g]))
+        for g in range(len(counts))
+    ]
 
 
 def _test_points(family, cells, offsets):
@@ -485,9 +541,16 @@ def _stencil_in_seen_cells(family, stencil, seen, offsets):
         yield (cells, *stencil(test))
 
 
-def _nearest_in_seen_cells(family, stencil, ci, seen, offsets):
-    """What ``_stencil_in_seen_cells`` yields for a nearest-sample stencil,
-    index for index, from a few candidate samples per cell.
+def _nearest_in_seen_cells(family, coords, starts, ci, seen, offsets):
+    """The nearest sample of every test point of the seen cells, from a few
+    candidate samples per cell, in chunks (cells, cand, win).  ``coords``
+    holds the samples axis by axis, draw g's from ``starts[g]`` to
+    ``starts[g + 1]``, and ``ci`` their stacked cells.  Row i of ``cand``
+    lists cell i's candidates by index (padded past the last); the first
+    ``len(win)`` cells have more than one, and ``win[i, p]`` is the column
+    of ``cand`` whose sample the nearest-sample stencil picks at test point
+    p; each later cell has one candidate, its own sample, which it picks
+    everywhere.
 
     The bisector test (``_candidates``).  For s a sample in the cell and c
     another, ``|x-c|**2 - |x-s|**2`` is affine in x, so over the box of the
@@ -496,7 +559,7 @@ def _nearest_in_seen_cells(family, stencil, ci, seen, offsets):
     less.  c is a candidate when that least value is at most 1e-9 d h**2
     (h = 1/M).  One that fails loses to s at every test point, in floating
     point too: near a tie both distances are below 4 d h**2, and their
-    rounding is far below the slack.  A cell left with s takes it everywhere.
+    rounding is far below the slack.
 
     Separable distances.  Row 0 of ``offsets`` is the center, the rest the
     product lattice of R values per axis in C order, so axis a of a test
@@ -507,76 +570,79 @@ def _nearest_in_seen_cells(family, stencil, ci, seen, offsets):
     so the distances are its bits.  The j-th candidates of a chunk's cells,
     widest first, are compared at once; one replaces the best only when
     strictly closer, so the lowest index wins a tie, as in argmin."""
-    d, G, points = family.d, len(offsets), stencil.points
+    d, G, K = family.d, len(offsets), family.num_centers
     R = _int_root_floor(G - 1, d)
     values = np.append(offsets[1 : R + 1, d - 1], 0.0)  # every axis's, then the center's
-    coords = np.ascontiguousarray(points.T)
-    for cells, row, ids in _candidates(family, coords, ci, seen, offsets):
+    for cells, row, ids in _candidates(family, coords, starts, ci, seen, offsets):
         per = np.bincount(row, minlength=len(cells))
         # one row of candidates per cell, its first per[i] entries used
         cand = np.zeros((len(per), per.max()), np.int64)
         cand[row, np.arange(len(ids)) - (np.cumsum(per) - per)[row]] = ids
         # the cells with the most candidates first, so that those with a
-        # j-th one are a prefix; cells with one come last and take it
+        # j-th one are a prefix; cells with one come last
         order = np.argsort(-per, kind="stable")
         cells, per, cand = cells[order], per[order], cand[order]
-        top = cand[: np.count_nonzero(per > 1)]
-        idx = np.empty((len(per), G), np.int64)
-        idx[len(top) :] = cand[len(top) :, :1]
-        if len(top):
-            found = idx[: len(top)]
+        win = np.zeros((np.count_nonzero(per > 1), G), np.intp)
+        if len(win):
             # the candidates rank by rank: the j-th of each row that has one
-            ranked = np.arange(per[0])[:, None] < per[: len(top)]
+            ranked = np.arange(per[0])[:, None] < per[: len(win)]
             live = np.count_nonzero(ranked, axis=1)
-            ids = top.T[ranked]
+            ids = cand[: len(win)].T[ranked]
             # terms[a, i, v]: axis a's squared term of candidate i at value v
-            terms = family.centers[cells[ranked.nonzero()[1]]].T[:, :, None] + values
+            terms = family.centers[cells[ranked.nonzero()[1]] % K].T[:, :, None] + values
             terms -= coords[:, ids, None]
             terms *= terms
             table = np.full(ranked.shape, np.inf)
             table[ranked] = sum(terms[:, :, R])
-            found[:, 0] = np.take_along_axis(top, table.argmin(axis=0)[:, None], 1)[:, 0]
-            for b, head in zip(np.cumsum(live) - live, live):
-                t, c = terms[:, b : b + head, :R], ids[b : b + head, None]
+            win[:, 0] = table.argmin(axis=0)
+            for j, (b, head) in enumerate(zip(np.cumsum(live) - live, live)):
+                t = terms[:, b : b + head, :R]
                 # at d = 1 the first rank's distances, and so best, are a
                 # view of its rows of terms; later ranks read only theirs
                 dist = t[0]
                 for a in range(1, d):
                     dist = (dist[:, :, None] + t[a, :, None]).reshape(head, -1)
-                if b == 0:
-                    best, found[:, 1:] = dist, c
+                if j == 0:
+                    best = dist
                     continue
                 closer = dist < best[:head]
                 np.minimum(best[:head], dist, out=best[:head])
-                np.copyto(found[:head, 1:], c, where=closer)
-        yield cells, idx.reshape(-1, 1), np.broadcast_to(1.0, (idx.size, 1))
+                np.copyto(win[:head, 1:], j, where=closer)
+        yield cells, cand, win
 
 
-def _candidates(family, coords, ci, seen, offsets):
+def _candidates(family, coords, starts, ci, seen, offsets):
     """The seen cells in chunks of at most max(G, _CHUNK_ENTRIES) test
     points, with the samples (coords, axis by axis) that pass the bisector
     test of ``_nearest_in_seen_cells``: each one's row in the chunk and
-    index, by row and index.  A candidate lies within sqrt(d) cells of the
-    box, so they are screened from all samples or, when fewer cells than
-    samples lie in the (2*ceil(sqrt(d)) + 1)**d cells around the cell, from
-    those bucketed there, on the grid of cells padded by ceil(sqrt(d)) on
-    each side, where a cell's block is its flat index plus fixed offsets."""
-    (d, m), k = coords.shape, family.per_axis
+    index, by row and index.  Cell g*K + c is cell c of draw g, whose
+    samples run from ``starts[g]`` to ``starts[g + 1]``.  A candidate lies
+    within sqrt(d) cells of the box, so they are screened from all samples
+    of the cell's draw or, when a draw may hold more samples than the
+    (2*ceil(sqrt(d)) + 1)**d cells around the cell, from those bucketed
+    there, on a grid of cells per draw padded by ceil(sqrt(d)) on each
+    side, where a cell's block is its flat index plus fixed offsets."""
+    (d, n_all), k, K = coords.shape, family.per_axis, family.num_centers
+    counts = np.diff(starts)
+    m = counts.max()
+    draw, own_cell = np.divmod(seen, K)
     r = math.isqrt(d - 1) + 1  # ceil(sqrt(d))
     gather = (2 * r + 1) ** d < m
     if gather:
+        padded = (k + 2 * r) ** d
         stride = (k + 2 * r) ** np.arange(d - 1, -1, -1)
         bucket = stride @ (np.clip(np.floor(coords * k), 0, k - 1).astype(np.int64) + r)
-        count = np.bincount(bucket, minlength=(k + 2 * r) ** d)
+        bucket += padded * np.repeat(np.arange(len(counts)), counts)
+        count = np.bincount(bucket, minlength=padded * len(counts))
         first = np.cumsum(count) - count
         by_bucket = np.argsort(bucket, kind="stable")
         block = stride @ (np.indices((2 * r + 1,) * d).reshape(d, -1) - r)
-        home = stride @ (np.stack(np.unravel_index(seen, (k,) * d)) + r)
+        home = padded * draw + stride @ (np.stack(np.unravel_index(own_cell, (k,) * d)) + r)
     # the first sample s in each seen cell (after -1, the sorted cells)
     own = np.unique(ci, return_index=True)[1][-len(seen) :]
     # per axis and seen cell: the faces of the box, then s's squared terms there
     half = np.abs(offsets).max(axis=0)[:, None]
-    faces = family.centers[seen].T + np.stack([-half, half])
+    faces = family.centers[own_cell].T + np.stack([-half, half])
     faces = np.concatenate([faces, (faces - coords[:, own]) ** 2])
     step = max(1, _CHUNK_ENTRIES // max(len(offsets), min((2 * r + 1) ** d, m)))
     for start in range(0, len(seen), step):
@@ -590,14 +656,18 @@ def _candidates(family, coords, ci, seen, offsets):
             ids = by_bucket[np.repeat(first[near] - (ends - runs), runs) + np.arange(ends[-1])]
             runs = runs.reshape(n, -1).sum(axis=1)
         else:
-            ids, runs = np.tile(np.arange(m), n), np.full(n, m)
+            # the samples of each cell's draw, cell after cell
+            runs = counts[draw[start : start + step]]
+            ends = np.cumsum(runs)
+            ids = np.repeat(starts[draw[start : start + step]] - (ends - runs), runs)
+            ids += np.arange(ends[-1])
         gap = np.repeat(faces[:, :, start : start + step], runs, axis=2)
         gap[:2] -= coords[:, ids]
         gap[:2] *= gap[:2]
         gap[:2] -= gap[2:]
         keep = np.minimum(gap[0], gap[1]).sum(axis=0) <= 1e-9 * d / family.M**2
         row, ids = np.repeat(np.arange(n), runs)[keep], ids[keep]
-        yield cells, row, np.sort(row * m + ids) - row * m
+        yield cells, row, np.sort(row * n_all + ids) - row * n_all
 
 
 def _average_error_generic(family, algorithm, offsets, theta_off):
@@ -814,8 +884,10 @@ def run_mc_sweep(
     """Monte Carlo sweep: mean average error over independent draws per m.
 
     Each draw uses a stream derived from (seed, m, draw index), so results
-    are reproducible regardless of evaluation order.  The realized sample
-    counts are audited against the declared budget."""
+    are reproducible regardless of evaluation order.  The draws of a group
+    are evaluated together where their stencils are nearest-sample ones
+    (``_average_errors``), each with the result ``average_error`` gives it.
+    The realized sample counts are audited against the declared budget."""
     if draws < 30:
         raise ValueError("draws must be >= 30")
 
@@ -824,19 +896,20 @@ def run_mc_sweep(
         family = build_adversarial_family(
             m, d, alpha, gamma, policy, kappa1_override=kappa1_override
         )
-        errors = []
-        unseen_counts = []
-        sample_counts = []
-        for k in range(draws):
-            rng = np.random.default_rng([seed, m, k])
-            algorithm = mc.generator(rng)
-            result = average_error(family, algorithm, grid_resolution=grid_resolution)
-            errors.append(result.average)
-            unseen_counts.append(result.unseen)
-            sample_counts.append(algorithm.m)
-        mean_error = float(np.mean(errors))
+        # draws made and evaluated a group at a time, a group's stacked
+        # per-cell arrays of at most max(K, _CHUNK_ENTRIES) entries
+        group = max(1, _CHUNK_ENTRIES // family.num_centers)
+        sample_counts, results = [], []
+        for first in range(0, draws, group):
+            drawn = [
+                mc.generator(np.random.default_rng([seed, m, k]))
+                for k in range(first, min(first + group, draws))
+            ]
+            sample_counts += [algorithm.m for algorithm in drawn]
+            results += _average_errors(family, drawn, grid_resolution)
+        mean_error = float(np.mean([result.average for result in results]))
         mean_count = float(np.mean(sample_counts))
-        unseen = int(min(unseen_counts))
+        unseen = min(result.unseen for result in results)
         bound, _, ok = _bound_check(family, mean_error, unseen)
         return f"mc-hardness-{mc.label}", {
             "m": m,

@@ -487,6 +487,16 @@ class TestSweepCommands:
             ["mc-hardness", "--d", "3", "--m-list", "16,64"],
             "6129418a535bca97dc100fd2b0b477a39a8fa05f23d28e0cd270bff4031aa6c1",
         ),
+        # draws whose cells screen every sample of their own draw: d = 5,
+        # and d = 1 below four samples
+        "mc-hardness-d5": (
+            ["mc-hardness", "--d", "5", "--m-list", "32", "--grid-res", "3"],
+            "aab92be7c38acc6722d556e85abdb773701df3cdb53c0363406e2d3ca188b0ee",
+        ),
+        "mc-hardness-d1": (
+            ["mc-hardness", "--d", "1", "--m-list", "2,3,4,16"],
+            "3765e1e133374e8c573f438fc9f7aa2024007e740e4eeb1a837734f451b38550",
+        ),
         "hardness-random-d4": (
             ["hardness", "--algorithm", "random", "--d", "4", "--m-list", "16,81",
              "--grid-res", "5"],

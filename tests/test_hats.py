@@ -419,9 +419,28 @@ class TestVerifyHat:
     def test_points_drawn_in_chunks_give_the_one_chunk_report(self, monkeypatch):
         hat = build_hat(hat_params(n=1, L=6, C=1.0, M=2.0, d=2))
         whole = verify_hat(hat, num_points=1000, seed=5)
-        # four chunks, the last of 100 points
-        monkeypatch.setattr(hats, "_POINTS_PER_CHUNK", 300)
+        # four chunks of 600 coordinates, the last of 100 points
+        monkeypatch.setattr(hats, "_COORDS_PER_CHUNK", 600)
         assert verify_hat(hat, num_points=1000, seed=5) == whole
+
+    @pytest.mark.parametrize("d", [3000, 20000])
+    def test_chunks_are_bounded_by_coordinates(self, d, monkeypatch):
+        # 2**14 coordinates make 5 points of d = 3000 and one point of
+        # d = 20000, more than 2**14 coordinates on its own
+        hat = build_hat(hat_params(n=1, L=5, M=2.0, d=d))
+        seen = []
+        realize = hats.BuiltHat.realize
+
+        def counting(self, x):
+            seen.append(np.asarray(x).size)
+            return realize(self, x)
+
+        monkeypatch.setattr(hats.BuiltHat, "realize", counting)
+        report = verify_hat(hat, num_points=7, seed=2)
+        assert sum(seen) == 7 * d and max(seen) <= max(2**14, d)
+        seen.clear()
+        monkeypatch.setattr(hats, "_COORDS_PER_CHUNK", 7 * d)
+        assert verify_hat(hat, num_points=7, seed=2) == report and seen == [7 * d]
 
 
 class TestUnitBallScaling:

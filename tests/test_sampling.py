@@ -178,19 +178,41 @@ def _nearest_algorithm(points):
     return SamplingAlgorithm(points, stencil, "nearest")
 
 
-def _check_cell_search(fam, alg, res):
-    """The nearest-sample cell search gives every test point of every seen
-    cell the brute-force answer, and average_error equals the one it gets
-    from the same stencil behind a wrapper, which the search skips."""
+def _search(fam, alg, offsets):
+    """The chunks of the nearest-sample cell search over one draw's samples."""
     ci, _ = sampling._locate_samples(fam, alg.points)
     seen = np.flatnonzero(np.bincount(ci[ci >= 0], minlength=fam.num_centers))
-    offsets = sampling._support_offsets(fam, res)
-    chunks = list(sampling._nearest_in_seen_cells(fam, alg.linear_stencil, ci, seen, offsets))
-    for cells, idx, _ in chunks:
+    coords = np.ascontiguousarray(alg.points.T)
+    starts = np.array([0, alg.m])
+    return seen, list(sampling._nearest_in_seen_cells(fam, coords, starts, ci, seen, offsets))
+
+
+def _winners(cand, win, G):
+    """The sample index each test point of a chunk's cells takes: through
+    its winning column, or a single-candidate cell's one candidate."""
+    idx = np.repeat(cand[:, :1], G, axis=1)
+    idx[: len(win)] = np.take_along_axis(cand[: len(win)], win, 1)
+    return idx.reshape(-1, 1)
+
+
+def _check_cell_search(fam, alg, res):
+    """The nearest-sample cell search gives every test point of every seen
+    cell the brute-force answer; every cell's row maximum and center error,
+    and average_error, equal those the wrapped-stencil reduction gets from
+    the same stencil behind a wrapper, which the search skips."""
+    offsets, theta = sampling._support(fam, res)
+    seen, chunks = _search(fam, alg, offsets)
+    for cells, cand, win in chunks:
         test = sampling._test_points(fam, cells, offsets).reshape(-1, fam.d)
-        assert np.array_equal(idx, alg.linear_stencil(test)[0])
+        assert np.array_equal(_winners(cand, win, len(offsets)), alg.linear_stencil(test)[0])
     assert sorted(c for cells, _, _ in chunks for c in cells.tolist()) == seen.tolist()
     reference = dataclasses.replace(alg, linear_stencil=lambda x: alg.linear_stencil(x))
+    [(row_max, center, unseen)] = sampling._average_error_nearest(fam, [alg], offsets, theta)
+    want_max, want_center, want_unseen = sampling._average_error_stencil(
+        fam, reference, offsets, theta
+    )
+    assert np.array_equal(row_max, want_max) and np.array_equal(center, want_center)
+    assert unseen == want_unseen
     assert average_error(fam, alg, res) == average_error(fam, reference, res)
 
 
@@ -300,16 +322,19 @@ class TestNearestSample:
         far_samples = [[i / 32, 0.95] for i in range(far)]
         alg = _nearest_algorithm([[1 / 16, 1 / 16], *near, *far_samples])
         assert alg.linear_stencil(np.array([c + (e, e)]))[0].tolist() == [[1]]
-        ci, _ = sampling._locate_samples(fam, alg.points)
-        seen = np.flatnonzero(np.bincount(ci[ci >= 0], minlength=fam.num_centers))
         offsets = sampling._support_offsets(fam, 3)
         with mock.patch.object(sampling, "_CHUNK_ENTRIES", chunk):
-            chunks = list(
-                sampling._nearest_in_seen_cells(fam, alg.linear_stencil, ci, seen, offsets)
-            )
+            _, chunks = _search(fam, alg, offsets)
             _check_cell_search(fam, alg, 3)
-        for cells, idx, w in chunks:
-            assert idx.shape == w.shape == (len(cells) * len(offsets), 1)
+        # the wide cell ranks its five candidates at every test point; cell
+        # 0 takes its one sample everywhere
+        wide = 5 * fam.per_axis + 5
+        for cells, cand, win in chunks:
+            assert win.shape[1] == len(offsets) and len(cand) == len(cells)
+            ranked, single = cells[: len(win)].tolist(), cells[len(win) :].tolist()
+            if wide in ranked:
+                assert sorted(cand[ranked.index(wide)][:5]) == [1, 2, 3, 4, 5]
+            assert wide not in single and 0 not in ranked
         groups = [set(cells.tolist()) for cells, _, _ in chunks]
         if chunk == 1 << 16:
             assert any({0, 5 * fam.per_axis + 5} <= g for g in groups)
@@ -339,9 +364,10 @@ class TestNearestSample:
         seen = np.flatnonzero(np.bincount(ci[ci >= 0], minlength=fam.num_centers))
         offsets = sampling._support_offsets(fam, 3)
         coords = np.ascontiguousarray(alg.points.T)
+        starts = np.array([0, alg.m])
         candidates = {
             k: ids[row == i].tolist()
-            for cells, row, ids in sampling._candidates(fam, coords, ci, seen, offsets)
+            for cells, row, ids in sampling._candidates(fam, coords, starts, ci, seen, offsets)
             for i, k in enumerate(cells.tolist())
         }
         assert candidates[cell] == [0, 2]
@@ -395,6 +421,13 @@ class TestAdversarialFamily:
         )
         assert scaled.amplitude == pytest.approx(2.0 * base.amplitude)
         assert scaled.amplitude_theoretical == base.amplitude_theoretical
+
+    @pytest.mark.parametrize("kappa1", [0.0, -1.0, math.nan])
+    def test_rejects_a_non_positive_kappa1_override(self, kappa1):
+        # the error of a cell with one candidate is read at the extreme
+        # profile values, which holds for a positive amplitude only
+        with pytest.raises(ValueError, match="kappa1_override"):
+            build_adversarial_family(16, 2, ALPHA, GAMMA, POLICY5, kappa1_override=kappa1)
 
     @pytest.mark.parametrize("m,d", [(4, 20), (2**20 + 1, 2), (2, 21), (2, 10**15)])
     def test_rejects_more_centers_than_the_cap(self, m, d):
@@ -706,6 +739,87 @@ class TestMonteCarloSweep:
             run_mc_sweep(
                 lambda m: uniform_mc(m, 1), [4], 1, ALPHA, GAMMA, POLICY5, draws=5
             )
+
+    @staticmethod
+    def _sweep_groups(mc, m, d, chunk, monkeypatch):
+        """The draws run_mc_sweep evaluates together, group by group, with
+        their results, and its report, at the given _CHUNK_ENTRIES."""
+        groups = []
+        evaluate = sampling._average_errors
+
+        def recording(family, algorithms, grid_resolution):
+            results = evaluate(family, algorithms, grid_resolution)
+            groups.append((algorithms, results))
+            return results
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sampling, "_CHUNK_ENTRIES", chunk)
+            patch.setattr(sampling, "_average_errors", recording)
+            report = run_mc_sweep(
+                lambda _: mc, [m], d, ALPHA, GAMMA, POLICY5, grid_resolution=5, seed=3
+            )
+        return groups, report
+
+    @pytest.mark.parametrize("group", [1, 7, 30])
+    @pytest.mark.parametrize(
+        "d,m,low,high,gather",
+        [
+            # a draw's cells screen every sample of the draw up to
+            # (2*ceil(sqrt(d)) + 1)**d samples (3, 25 and 125), and the
+            # samples bucketed around them above
+            (1, 16, 1, 3, False),
+            (1, 16, 4, 40, True),
+            (2, 16, 1, 25, False),
+            (2, 16, 26, 80, True),
+            (3, 8, 1, 125, False),
+            (3, 8, 126, 200, True),
+        ],
+    )
+    def test_each_draw_gets_its_own_average_error(self, d, m, low, high, gather, group, monkeypatch):
+        # draws of differing sample counts, evaluated one, seven or all
+        # thirty at a time: each gets the result average_error gives it, bit
+        # for bit, and the row is their mean
+        def generator(rng):
+            return uniform_random_algorithm(int(rng.integers(low, high + 1)), d, rng=rng)
+
+        mc = sampling.MonteCarloAlgorithm(generator, budget=high, label="varying")
+        fam = build_adversarial_family(m, d, ALPHA, GAMMA, POLICY5)
+        groups, report = self._sweep_groups(mc, m, d, group * fam.num_centers, monkeypatch)
+        sizes = {1: [1] * 30, 7: [7, 7, 7, 7, 2], 30: [30]}[group]
+        assert [len(algorithms) for algorithms, _ in groups] == sizes
+        drawn = [alg for algorithms, _ in groups for alg in algorithms]
+        assert len({alg.m for alg in drawn}) > 1
+        assert all((alg.m > (2 * math.ceil(math.sqrt(d)) + 1) ** d) == gather for alg in drawn)
+        results = [res for _, found in groups for res in found]
+        assert results == [average_error(fam, alg, 5) for alg in drawn]
+        assert report.rows[0]["measured_avg_error"] == float(np.mean([r.average for r in results]))
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_draws_of_other_stencils_are_evaluated_one_by_one(self, mixed, monkeypatch):
+        # zero_algorithm draws, alone or between nearest-sample ones, take
+        # the per-draw path and keep their place in the group
+        def generator(rng):
+            if mixed and rng.integers(2):
+                return uniform_random_algorithm(16, 2, rng=rng)
+            return zero_algorithm(16, 2)
+
+        mc = sampling.MonteCarloAlgorithm(generator, budget=16, label="zero-or-random")
+        fam = build_adversarial_family(16, 2, ALPHA, GAMMA, POLICY5)
+        calls = []
+        one_by_one = sampling._average_error_stencil
+
+        def counting(family, algorithm, offsets, theta_off):
+            calls.append(algorithm.label)
+            return one_by_one(family, algorithm, offsets, theta_off)
+
+        monkeypatch.setattr(sampling, "_average_error_stencil", counting)
+        groups, _ = self._sweep_groups(mc, 16, 2, 7 * fam.num_centers, monkeypatch)
+        drawn = [alg for algorithms, _ in groups for alg in algorithms]
+        labels = [alg.label for alg in drawn]
+        assert calls == [label for label in labels if label == "zero"]
+        assert ("uniform-random-nearest" in labels) == mixed and "zero" in labels
+        results = [res for _, found in groups for res in found]
+        assert results == [average_error(fam, alg, 5) for alg in drawn]
 
 
 class TestUpperBoundSweep:
