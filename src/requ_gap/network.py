@@ -241,8 +241,12 @@ class Run:
                 + max(self.blocks - 1, 0) * self.block_step)
 
     def offsets(self, start: int, stop: int, copy_step: int, block_step: int) -> np.ndarray:
-        """k * copy_step + j * block_step for copies number start to stop - 1."""
-        j, k = np.divmod(np.arange(start, stop, dtype=np.int64), self.copies)
+        """k * copy_step + j * block_step for copies number start to stop - 1,
+        copy k of block j: a floor division by copies and a multiply-subtract
+        for the remainder, cheaper than np.divmod."""
+        k = np.arange(start, stop, dtype=np.int64)
+        j = k // self.copies
+        k -= j * self.copies
         k *= copy_step
         j *= block_step
         k += j
@@ -291,7 +295,12 @@ class StridedLayer:
     """A layer whose weights, (row, col) records, and bias, (index,)
     records, are runs, of which those with no record are dropped: the stored
     layer is expand().  Ranges and distinct coordinates are checked as
-    SparseMatrix and SparseVector check them, on keys formed run by run."""
+    SparseMatrix and SparseVector check them, on keys formed run by run.
+
+    The keys are sorted by numpy's stable sort, which finds the ascending
+    stretches of its input and merges them.  A single-template run's keys
+    ascend, as its steps are non-negative and no block starts before the
+    previous one ends, so for such runs the sort only merges their keys."""
 
     shape: tuple[int, int]
     entries: tuple[Run, ...]
@@ -311,7 +320,7 @@ class StridedLayer:
                 if (r.last() >= limits).any():
                     raise NetworkError("index out of range")
             keys = _fill_runs(runs, (cols, 1)[-len(limits):])
-            keys.sort()
+            keys.sort(kind="stable")
             if (keys[1:] == keys[:-1]).any():
                 raise NetworkError(f"duplicate {what}")
 
@@ -692,11 +701,17 @@ _RECORDS_PER_BLOCK = 1 << 15
 
 def _digit_plane(q: np.ndarray, w: int) -> np.ndarray:
     """The (w, q.size) uint8 plane of the ASCII digits of q, non-negative
-    integers below 10**w, each zero-padded to w digits: repeated divisions by
-    10, in uint32 when w is at most 9."""
+    integers below 10**w, each zero-padded to w digits: repeated floor
+    divisions by 10 into a second buffer, the digit left in the first by a
+    multiply-subtract (numpy divides by a scalar faster in floor_divide than
+    in divmod), in uint32 when w is at most 9."""
     digits, rest = np.empty((w, q.size), np.uint8), q.astype(np.uint32 if w <= 9 else np.int64)
+    quot = np.empty_like(rest)
     for k in range(w - 1, -1, -1):
-        rest, digits[k] = np.divmod(rest, 10)
+        np.floor_divide(rest, 10, out=quot)
+        rest -= quot * 10
+        digits[k] = rest
+        rest, quot = quot, rest
     digits += 48
     return digits
 
@@ -748,9 +763,12 @@ def _segment(run: Run, start: int, stop: int) -> np.ndarray:
     column has the same number of digits in these copies.
 
     The row layout holds the text of each value and of each index that is
-    the same in every row; each other index is a _digit_plane."""
-    layout, planes = [], []
-    offsets = [run.offsets(start, stop, int(cs), int(bs))
+    the same in every row; each other index is a _digit_plane, computed once
+    per (column, template index, width) and written at every position of
+    it.  A column whose steps are both 0 is the same in every row, and its
+    offsets are not formed."""
+    layout, planes = [], {}
+    offsets = [run.offsets(start, stop, int(cs), int(bs)) if cs or bs else np.zeros(1, np.int64)
                for cs, bs in zip(run.copy_step, run.block_step)]
     at = 0
     for t, v in enumerate(run.vals.tolist()):
@@ -759,14 +777,17 @@ def _segment(run: Run, start: int, stop: int) -> np.ndarray:
             base = int(run.index[t, c])
             text = str(base + int(off[0])).encode()
             if off[-1] != off[0]:
-                planes.append((at + 1 + sum(map(len, fields)) + 2 * c, base + off, len(text)))
+                planes.setdefault((c, base, len(text)), []).append(
+                    at + 1 + sum(map(len, fields)) + 2 * c)
             fields.append(text)
         record = b"[" + b", ".join(fields + [repr(v).encode()]) + b"], "
         layout.append(record)
         at += len(record)
     block = np.tile(np.frombuffer(b"".join(layout), np.uint8), (stop - start, 1))
-    for pos, q, w in planes:
-        block[:, pos : pos + w] = _digit_plane(q, w).T
+    for (c, base, w), positions in planes.items():
+        digits = _digit_plane(base + offsets[c], w).T
+        for pos in positions:
+            block[:, pos : pos + w] = digits
     return block
 
 

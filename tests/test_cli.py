@@ -75,6 +75,11 @@ class TestBuildHat:
             ["--n", "4", "--L", "7", "--d", "1", "--depth-cap", "7"],
             "9dc23a76246d10f485f93ddb3fff832df390592fe2e5a3e798dfc3bfc8e04313",
         ),
+        # 390,625 row triples, 1,171,875 middle rows: indices cross 10**6 inside a run
+        "n5-L7-d1": (
+            ["--n", "5", "--L", "7", "--d", "1", "--depth-cap", "7"],
+            "ea4a09ab518f51ff96ea2c9513d367af5d42af5fb36964722ba5265c12dd9742",
+        ),
     }
 
     @pytest.mark.parametrize("case", PINNED)

@@ -802,6 +802,57 @@ def runs(draw, columns: int):
     return Run(index, vals, copies, blocks, copy_step, block_step)
 
 
+@st.composite
+def digit_columns(draw):
+    """A width w from 1 to 18 and integers below 10**w, the extremes among
+    them."""
+    w = draw(st.integers(1, 18))
+    edges = st.sampled_from([0, 10 ** (w - 1), 10**w - 1])
+    return w, draw(st.lists(st.one_of(edges, st.integers(0, 10**w - 1)), min_size=1, max_size=40))
+
+
+@st.composite
+def offset_ranges(draw):
+    """copies, blocks, a copy step and a block step (zeros among them) and a
+    range start <= stop of copy numbers."""
+    copies, blocks = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    cs, bs = (draw(st.one_of(st.just(0), st.integers(0, 10**9))) for _ in range(2))
+    start = draw(st.integers(0, copies * blocks))
+    return copies, blocks, cs, bs, start, draw(st.integers(start, copies * blocks))
+
+
+class TestStridedArithmetic:
+    @given(case=digit_columns())
+    # either side of the uint32 / int64 switch, and the int64 extremes
+    @example(case=(9, [0, 999_999_999, 10**8]))
+    @example(case=(10, [0, 9_999_999_999, 4_294_967_296]))
+    @example(case=(18, [0, 10**18 - 1, 2**59]))
+    @settings(max_examples=200, deadline=None)
+    def test_digit_plane_is_zfill(self, case):
+        w, values = case
+        plane = network._digit_plane(np.array(values, dtype=np.int64), w)
+        assert plane.shape == (w, len(values))
+        assert [bytes(row).decode() for row in plane.T] == [str(v).zfill(w) for v in values]
+
+    @given(case=offset_ranges())
+    # one copy per block, one block, zero steps, a range across block edges
+    @example(case=(1, 5, 3, 7, 0, 5))
+    @example(case=(12, 1, 4, 0, 3, 12))
+    @example(case=(4, 3, 0, 0, 0, 12))
+    @example(case=(4, 3, 2, 9, 3, 9))
+    @settings(max_examples=200, deadline=None)
+    def test_offsets_agree_with_divmod(self, case):
+        copies, blocks, cs, bs, start, stop = case
+        run = Run([(0,)], [1.0], copies, blocks, (0,), (0,))
+        want = []
+        for g in range(start, stop):
+            j, k = divmod(g, copies)
+            want.append(k * cs + j * bs)
+        got = run.offsets(start, stop, cs, bs)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+
 class TestStridedRuns:
     @given(entries=runs(2), bias=runs(1), spare=st.integers(0, 2))
     @settings(max_examples=150, deadline=None)
@@ -852,6 +903,20 @@ class TestStridedRuns:
             StridedLayer((16, 4), [run, Run([(12, 3)], [1.0], 1, 1, (0, 0), (0, 0))], [])
         with pytest.raises(NetworkError, match="duplicate index"):
             StridedLayer((16, 4), [run], [Run([(1,)], [1.0], 2, 1, (0,), (0,))])
+
+    def test_templates_meeting_after_a_copy_shift_are_duplicates(self):
+        # copy 1 of template 0 is (3, 0), copy 0 of template 1
+        run = Run([(0, 0), (3, 0)], [1.0, 2.0], 2, 1, (3, 0), (0, 0))
+        with pytest.raises(NetworkError, match="duplicate coordinate"):
+            StridedLayer((7, 1), [run], [])
+
+    def test_interleaved_runs_sharing_one_middle_record_are_duplicates(self):
+        # rows 0, 5, ..., 50 and 4, 11, ..., 46 interleave and share row 25,
+        # the middle of both, so the merge of the two key streams finds it
+        every_fifth = Run([(0, 0)], [1.0], 11, 1, (5, 0), (0, 0))
+        StridedLayer((51, 2), [every_fifth, Run([(4, 1)], [1.0], 7, 1, (7, 0), (0, 0))], [])
+        with pytest.raises(NetworkError, match="duplicate coordinate"):
+            StridedLayer((51, 2), [every_fifth, Run([(4, 0)], [1.0], 7, 1, (7, 0), (0, 0))], [])
 
     def test_segments_hold_at_most_a_block_of_records(self):
         count = network._RECORDS_PER_BLOCK + 7
