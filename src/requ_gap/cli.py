@@ -95,17 +95,17 @@ def _integer(low=1, high=_MAX_INT, inf=False):
     return f"an integer in [{low}, {high}]" + (' or "inf"' if inf else ""), check, flag
 
 
-def _real(above=-math.inf, below=math.inf, null=False):
+def _real(below=math.inf, null=False):
     def check(value):
         if null and value is None:
             return value
         # a bool is no number; abs() <= max rejects NaN, inf and huge ints
         if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
             raise ValueError
-        if not above < value < below:
+        if not value < below:
             raise ValueError
         return float(value)
-    bounds = f" in ({above}, {below})" if (above, below) != (-math.inf, math.inf) else ""
+    bounds = f" in (-inf, {below})" if below != math.inf else ""
     return "a finite number" + bounds + (" or null" if null else ""), check, float
 
 
@@ -166,7 +166,6 @@ _KEYS = {
     "samples": (1000, _integer(high=_MAX_POINTS)),
     "gamma": (None, _real(null=True)),
     "algorithm": ("grid", _choice(*_ALGORITHMS)),
-    "kappa1": (None, _real(above=0, null=True)),
     "draws": (30, _integer()),
     "reconstruction": ("nearest", _choice("nearest", "multilinear")),
     "M1": (1.0, _real(below=2.0**256)),  # M1**4 finite
@@ -185,8 +184,8 @@ _COMMANDS = {
     "verify-hat": (*_HAT, "--y", "--network", "points"),
     "rates": (*_POLICY, "--alpha", "--d", "--n-max"),
     "lipschitz": (*_HAT, "--norm", "y", "R", "samples"),
-    "hardness": (*_SWEEP, "--algorithm", "--kappa1"),
-    "mc-hardness": (*_SWEEP, "--kappa1", "--draws"),
+    "hardness": (*_SWEEP, "--algorithm"),
+    "mc-hardness": (*_SWEEP, "--draws"),
     "upper-bound": (*_SWEEP, "--reconstruction"),
     "sum-check": ("--M1", "--y1", "--M2", "--y2", "--target-depth", "points"),
 }
@@ -406,23 +405,14 @@ def _sweep_command(args, m_list: list[int], run) -> int:
 def cmd_hardness(args) -> int:
     def run(cfg, **sweep):
         make = _ALGORITHMS[cfg["algorithm"]]
-        return run_hardness_sweep(
-            lambda m: make(m, sweep["d"], sweep["seed"]),
-            kappa1_override=cfg["kappa1"],
-            **sweep,
-        )
+        return run_hardness_sweep(lambda m: make(m, sweep["d"], sweep["seed"]), **sweep)
 
     return _sweep_command(args, [4, 16, 64, 256], run)
 
 
 def cmd_mc_hardness(args) -> int:
     def run(cfg, **sweep):
-        return run_mc_sweep(
-            lambda m: uniform_mc(m, sweep["d"]),
-            draws=cfg["draws"],
-            kappa1_override=cfg["kappa1"],
-            **sweep,
-        )
+        return run_mc_sweep(lambda m: uniform_mc(m, sweep["d"]), draws=cfg["draws"], **sweep)
 
     return _sweep_command(args, [4, 16, 64], run)
 

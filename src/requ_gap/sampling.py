@@ -231,9 +231,7 @@ class AdversarialFamily:
 
     Centers y_i = (2 i - 1)/M for i in {1, ..., 2 ceil(m**(1/d))}^d with
     M = 4 ceil(m**(1/d)); supports tile (0,1)^d disjointly.  ``amplitude``
-    is the effective member height; ``amplitude_theoretical`` is the value
-    certified by the unit-ball scaling (they differ only when an explicit
-    kappa1 override is supplied for readability of plots)."""
+    is the member height that ``scaled_unit_ball_bump`` certifies."""
 
     m: int
     d: int
@@ -243,9 +241,6 @@ class AdversarialFamily:
     per_axis: int
     centers: np.ndarray
     amplitude: float
-    amplitude_theoretical: float
-    kappa1: float
-    kappa1_theoretical: float
     certificate: UnitBallCertificate
     # grid_resolution -> read-only (offsets, profile at them); see _support
     _supports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -281,19 +276,15 @@ def build_adversarial_family(
     alpha: float,
     gamma: float,
     policy: GrowthPolicy,
-    kappa1_override: float | None = None,
 ) -> AdversarialFamily:
     """Construct the hardness family for sample budget m.
 
     Its (2*ceil(m**(1/d)))**d centers are limited to _MAX_OFFSETS (2**20); a
-    larger family raises ValueError before anything is allocated.  A
-    ``kappa1_override`` must be positive, as the amplitude it sets."""
+    larger family raises ValueError before anything is allocated."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if d < 1:
         raise ValueError("d must be >= 1")
-    if kappa1_override is not None and not kappa1_override > 0:
-        raise ValueError("kappa1_override must be > 0")
     # two centers per axis at least: a d of 21 or more is rejected before
     # the integer root raises anything to the power d
     too_many = d >= _MAX_OFFSETS.bit_length()
@@ -309,9 +300,6 @@ def build_adversarial_family(
     centers = np.column_stack([g.ravel() for g in mesh])
     # the unit-ball scaling is translation invariant; certify one member
     bump, cert = scaled_unit_ball_bump(alpha, gamma, float(M), centers[0], policy)
-    kappa1 = cert.kappa
-    scale = float(M) ** (-64.0 * alpha / (8.0 * alpha + gamma))
-    kappa1_eff = kappa1 if kappa1_override is None else float(kappa1_override)
     return AdversarialFamily(
         m=m,
         d=d,
@@ -320,10 +308,7 @@ def build_adversarial_family(
         M=M,
         per_axis=per_axis,
         centers=centers,
-        amplitude=kappa1_eff * scale,
-        amplitude_theoretical=kappa1 * scale,
-        kappa1=kappa1_eff,
-        kappa1_theoretical=kappa1,
+        amplitude=bump.amplitude,
         certificate=cert,
     )
 
@@ -812,17 +797,12 @@ def _sweep(m_list, row, params, seed, upper=False) -> ExperimentReport:
 
 
 def _bound_check(family: AdversarialFamily, measured: float, unseen: int):
-    """The hardness bound at the family's m, the measured error at the
-    certified amplitude, and whether the measurement respects the bound."""
+    """The hardness bound at the family's m, and whether the measurement
+    respects it."""
     m = family.m
-    bound = hardness_bound(
-        m, family.d, family.alpha, family.gamma, family.kappa1_theoretical
-    )
-    # the error scales linearly in the amplitude; undo any override before
-    # comparing to the theoretical bound
-    measured_theoretical = measured * (family.amplitude_theoretical / family.amplitude)
-    ok = measured_theoretical >= bound * (1 - 1e-9) and unseen >= m
-    return bound, measured_theoretical, bool(ok)
+    bound = hardness_bound(m, family.d, family.alpha, family.gamma, family.certificate.kappa)
+    ok = measured >= bound * (1 - 1e-9) and unseen >= m
+    return bound, bool(ok)
 
 
 def run_hardness_sweep(
@@ -833,25 +813,18 @@ def run_hardness_sweep(
     gamma: float,
     policy: GrowthPolicy,
     grid_resolution: int = 9,
-    kappa1_override: float | None = None,
     seed: int = 0,
 ) -> ExperimentReport:
-    """Average error vs the hardness bound over a sweep of sample budgets.
-
-    The pass flag always compares against the theoretical bound (with the
-    certified kappa1), even when an override rescales the reported curve."""
+    """Average error vs the hardness bound over a sweep of sample budgets."""
 
     def row(m):
-        family = build_adversarial_family(
-            m, d, alpha, gamma, policy, kappa1_override=kappa1_override
-        )
+        family = build_adversarial_family(m, d, alpha, gamma, policy)
         algorithm = algorithm_factory(m)
         result = average_error(family, algorithm, grid_resolution=grid_resolution)
-        bound, measured_theoretical, ok = _bound_check(family, result.average, result.unseen)
+        bound, ok = _bound_check(family, result.average, result.unseen)
         return f"hardness-{algorithm.label}", {
             "m": m,
             "measured_avg_error": result.average,
-            "measured_theoretical": measured_theoretical,
             "center_only": result.center_only,
             "lower_bound": bound,
             "unseen_count": result.unseen,
@@ -864,7 +837,6 @@ def run_hardness_sweep(
         "alpha": alpha,
         "gamma": gamma,
         "grid_resolution": grid_resolution,
-        "kappa1_override": kappa1_override,
     }
     return _sweep(m_list, row, params, seed)
 
@@ -878,7 +850,6 @@ def run_mc_sweep(
     policy: GrowthPolicy,
     draws: int = 30,
     grid_resolution: int = 9,
-    kappa1_override: float | None = None,
     seed: int = 0,
 ) -> ExperimentReport:
     """Monte Carlo sweep: mean average error over independent draws per m.
@@ -893,9 +864,7 @@ def run_mc_sweep(
 
     def row(m):
         mc = mc_factory(m)
-        family = build_adversarial_family(
-            m, d, alpha, gamma, policy, kappa1_override=kappa1_override
-        )
+        family = build_adversarial_family(m, d, alpha, gamma, policy)
         # draws made and evaluated a group at a time, a group's stacked
         # per-cell arrays of at most max(K, _CHUNK_ENTRIES) entries
         group = max(1, _CHUNK_ENTRIES // family.num_centers)
@@ -910,7 +879,7 @@ def run_mc_sweep(
         mean_error = float(np.mean([result.average for result in results]))
         mean_count = float(np.mean(sample_counts))
         unseen = min(result.unseen for result in results)
-        bound, _, ok = _bound_check(family, mean_error, unseen)
+        bound, ok = _bound_check(family, mean_error, unseen)
         return f"mc-hardness-{mc.label}", {
             "m": m,
             "measured_avg_error": mean_error,
@@ -928,7 +897,6 @@ def run_mc_sweep(
         "gamma": gamma,
         "draws": draws,
         "grid_resolution": grid_resolution,
-        "kappa1_override": kappa1_override,
     }
     return _sweep(m_list, row, params, seed)
 

@@ -472,6 +472,35 @@ class TestSweepCommands:
         sidecar = json.loads((tmp_path / "ub.csv.json").read_text())
         assert sidecar["fitted_exponent"] <= sidecar["params"]["slope_target"]
 
+    # the keys of each sweep sidecar's params and of each of its rows
+    SIDECAR_KEYS = {
+        "hardness": (
+            "4,16",
+            "alpha d decay_exponent_theoretical gamma grid_resolution",
+            "amplitude center_only lower_bound m measured_avg_error pass unseen_count",
+        ),
+        "mc-hardness": (
+            "4,16",
+            "alpha d decay_exponent_theoretical draws gamma grid_resolution",
+            "amplitude budget_ok lower_bound m mean_sample_count measured_avg_error"
+            " pass unseen_count",
+        ),
+        "upper-bound": (
+            "16,64",
+            "alpha d gamma grid_resolution reconstruction slope_target",
+            "amplitude lower_bound m measured_avg_error pass unseen_count",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", SIDECAR_KEYS)
+    def test_sidecar_keys(self, command, tmp_path):
+        m_list, params, row = self.SIDECAR_KEYS[command]
+        out = tmp_path / "sweep.csv"
+        assert run([command, "--m-list", m_list, "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "sweep.csv.json").read_text())
+        assert sorted(sidecar["params"]) == params.split()
+        assert [sorted(r) for r in sidecar["rows"]] == [row.split()] * 2
+
     # sweeps whose CSV bytes pin every nearest index and every rounding of
     # the error arithmetic; the d=2 digest is the sweep-mc-d2 reference in
     # bench/reference.json
@@ -703,8 +732,8 @@ class TestInvalidInput:
         "sum-check-M1-1e300": ["sum-check"],
         "sum-check-M1-flag-1e300": ["sum-check", "--M1", "1e300"],
         "hardness-algorithm-list": ["hardness"],
-        "hardness-kappa1-0": ["hardness"],
-        "hardness-kappa1-negative": ["hardness"],
+        "hardness-kappa1-removed": ["hardness"],
+        "hardness-kappa1-flag-removed": ["hardness", "--kappa1", "0.5"],
         "mc-hardness-algorithm": ["mc-hardness"],
         "verify-hat-network-5": ["verify-hat"],
         "verify-hat-network-true": ["verify-hat"],
@@ -782,8 +811,7 @@ class TestInvalidInput:
         "sum-check-M1-null": {"M1": None},
         "sum-check-M1-1e300": {"M1": 1e300},
         "hardness-algorithm-list": {"algorithm": ["grid"]},
-        "hardness-kappa1-0": {"kappa1": 0},
-        "hardness-kappa1-negative": {"kappa1": -1.0},
+        "hardness-kappa1-removed": {"kappa1": 0.5},
         "mc-hardness-algorithm": {"algorithm": "grid"},
         "verify-hat-network-5": {"network": 5},
         "verify-hat-network-true": {"network": True},
@@ -836,8 +864,8 @@ class TestInvalidInput:
         "sum-check-M1-1e300": "M1 must be a finite number",
         "sum-check-M1-flag-1e300": "M1 must be a finite number",
         "hardness-algorithm-list": "algorithm must be one of",
-        "hardness-kappa1-0": "kappa1 must be a finite number in (0, inf)",
-        "hardness-kappa1-negative": "kappa1 must be a finite number in (0, inf)",
+        "hardness-kappa1-removed": "unknown config keys: ['kappa1']",
+        "hardness-kappa1-flag-removed": "unrecognized arguments: --kappa1 0.5",
         "mc-hardness-algorithm": "unknown config keys: ['algorithm']",
         "verify-hat-network-5": "network must be a path",
         "verify-hat-network-true": "network must be a path",
@@ -930,8 +958,8 @@ FLAGS = {
     "verify-hat": "--C --L --M --d --n --network --y",
     "rates": "--alpha --d --n-max",
     "lipschitz": "--C --L --M --d --n --norm",
-    "hardness": "--algorithm --alpha --d --format --gamma --grid-res --kappa1 --m-list",
-    "mc-hardness": "--alpha --d --draws --format --gamma --grid-res --kappa1 --m-list",
+    "hardness": "--algorithm --alpha --d --format --gamma --grid-res --m-list",
+    "mc-hardness": "--alpha --d --draws --format --gamma --grid-res --m-list",
     "upper-bound": "--alpha --d --format --gamma --grid-res --m-list --reconstruction",
     "sum-check": "--M1 --M2 --target-depth --y1 --y2",
 }
@@ -965,7 +993,7 @@ SMALL = {
     "M": [1.0, 2], "d": [1, 2.0], "y": [None, [0.5], [0.25, 0.75]],
     "points": [1, 2000], "network": [None], "alpha": [1.0, 2], "n_max": [0, 100, 1000],
     "R": [1.0, 2.0], "norm": ["l1", "linf", "unit-cube-l1", "unit-cube-linf"],
-    "samples": [100, 2000], "gamma": [None, 15.0], "kappa1": [None, 0.5],
+    "samples": [100, 2000], "gamma": [None, 15.0],
     "algorithm": ["grid", "grid-multilinear", "random", "zero"], "draws": [30],
     "reconstruction": ["nearest", "multilinear"], "M1": [1.0, 4], "y1": [0.25, 0.0],
     "M2": [2.0, 1], "y2": [0.75, 1.0], "target_depth": [3, 5],
@@ -983,8 +1011,8 @@ READS = {
     "verify-hat": ("n L C M d y points network", []),
     "rates": ("alpha d n_max", []),
     "lipschitz": ("n L C M d y R norm samples", []),
-    "hardness": ("alpha d gamma algorithm kappa1", ["--m-list", "4,16,64"]),
-    "mc-hardness": ("alpha d gamma kappa1 draws", ["--m-list", "4,16,64"]),
+    "hardness": ("alpha d gamma algorithm", ["--m-list", "4,16,64"]),
+    "mc-hardness": ("alpha d gamma draws", ["--m-list", "4,16,64"]),
     "upper-bound": ("alpha d gamma reconstruction", ["--m-list", "16,64"]),
     "sum-check": ("M1 y1 M2 y2 target_depth points", []),
 }

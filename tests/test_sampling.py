@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from requ_gap import sampling
+from requ_gap.hats import scaled_unit_ball_bump
 from requ_gap.network import GrowthPolicy
 from requ_gap.sampling import (
     AdversarialFamily,
@@ -410,24 +411,15 @@ class TestAdversarialFamily:
         assert fam.member(i, -1)(center[None, :])[0] == pytest.approx(-fam.amplitude)
 
     def test_amplitude_in_unit_ball_range(self):
-        fam = build_adversarial_family(64, 1, ALPHA, GAMMA, POLICY5)
-        assert 0.0 < fam.amplitude <= 1.0
-        assert fam.amplitude == fam.amplitude_theoretical
-
-    def test_kappa1_override_rescales_amplitude_only(self):
-        base = build_adversarial_family(16, 1, ALPHA, GAMMA, POLICY5)
-        scaled = build_adversarial_family(
-            16, 1, ALPHA, GAMMA, POLICY5, kappa1_override=base.kappa1 * 2.0
-        )
-        assert scaled.amplitude == pytest.approx(2.0 * base.amplitude)
-        assert scaled.amplitude_theoretical == base.amplitude_theoretical
-
-    @pytest.mark.parametrize("kappa1", [0.0, -1.0, math.nan])
-    def test_rejects_a_non_positive_kappa1_override(self, kappa1):
-        # the error of a cell with one candidate is read at the extreme
-        # profile values, which holds for a positive amplitude only
-        with pytest.raises(ValueError, match="kappa1_override"):
-            build_adversarial_family(16, 2, ALPHA, GAMMA, POLICY5, kappa1_override=kappa1)
+        for m, d in [(64, 1), (16, 2), (27, 3)]:
+            fam = build_adversarial_family(m, d, ALPHA, GAMMA, POLICY5)
+            assert 0.0 < fam.amplitude <= 1.0
+            # the one amplitude is the certified bump's, and the bound reads
+            # the certificate's kappa
+            bump, _ = scaled_unit_ball_bump(ALPHA, GAMMA, float(fam.M), fam.centers[0], POLICY5)
+            assert fam.amplitude == bump.amplitude
+            bound, _ = sampling._bound_check(fam, fam.amplitude, m)
+            assert bound == hardness_bound(m, d, ALPHA, GAMMA, fam.certificate.kappa)
 
     @pytest.mark.parametrize("m,d", [(4, 20), (2**20 + 1, 2), (2, 21), (2, 10**15)])
     def test_rejects_more_centers_than_the_cap(self, m, d):
@@ -688,18 +680,6 @@ class TestHardnessSweep:
         assert lines[0] == "m,measured_avg_error,lower_bound,unseen_count,amplitude,pass"
         assert len(lines) == 3
         assert lines[1].startswith("4,") and lines[2].startswith("16,")
-
-    def test_override_does_not_change_pass(self):
-        rep = run_hardness_sweep(
-            lambda m: grid_algorithm(m, 1),
-            [4, 16],
-            1,
-            ALPHA,
-            GAMMA,
-            POLICY5,
-            kappa1_override=1e-30,
-        )
-        assert rep.passed  # pass compares against the theoretical curve
 
     def test_rejects_bad_m_list(self):
         with pytest.raises(ValueError):
